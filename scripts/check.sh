@@ -2,8 +2,8 @@
 # Repository check: build and run the test suite in the default
 # configuration, then rebuild the concurrency-sensitive targets under
 # ThreadSanitizer and run the threaded tests (thread pool, service layer,
-# budget accountant, EDA sessions, metrics registry) with race detection
-# on, then rebuild the
+# budget accountant, EDA sessions, metrics registry, transport, router)
+# with race detection on, then rebuild the
 # request-path targets under ASan+UBSan and run the service/robustness
 # tests — no std::abort, overflow, or memory error may be reachable from
 # request input. The ingest plane (csv_test, columnar_format_test) runs
@@ -19,7 +19,10 @@
 # --worker-listen-base port, exposition checked line by line). The
 # width-dispatched data-plane kernels run in both sanitizer passes
 # (dataset_layout_test); the transport event loop and its e2e socket
-# tests run under TSan (transport_test), and the zero-reparse relay
+# tests run under TSan (transport_test), as do the router e2e tests
+# (router_test) against the TSan-built router and serve binaries that the
+# same build produces — the router runs everything on the transport's one
+# event loop, and TSan checks that claim; the zero-reparse relay
 # scanner runs under ASan (json_relay_test) — worker output is untrusted
 # once a worker has crashed mid-write.
 #
@@ -365,15 +368,17 @@ else
   cmake --build build-tsan -j --target \
     thread_pool_test service_test privacy_budget_test eda_session_test \
     parallel_equivalence_test dataset_layout_test obs_test \
-    transport_test \
+    transport_test router_test \
     >/dev/null
   # DPCLUSTX_THREADS=8 widens the shared compute pool so the ParallelFor
   # kernels genuinely interleave under TSan even on narrow CI hosts.
   # transport_test races the epoll loop against concurrent ClientChannel
-  # threads (and forks the TSan-built router for the socket e2e cases).
+  # threads (and forks the TSan-built router for the socket e2e cases);
+  # router_test forks the TSan-built router over pipes, kills and stops
+  # its workers, and asserts the router stays on at most two threads.
   (cd build-tsan &&
    DPCLUSTX_THREADS=8 ctest --output-on-failure \
-     -R '^(thread_pool_test|service_test|privacy_budget_test|eda_session_test|parallel_equivalence_test|dataset_layout_test|obs_test|transport_test)$')
+     -R '^(thread_pool_test|service_test|privacy_budget_test|eda_session_test|parallel_equivalence_test|dataset_layout_test|obs_test|transport_test|router_test)$')
 fi
 
 if [[ "$SKIP_NATIVE" == 1 ]]; then

@@ -48,17 +48,14 @@ const std::string& HashRing::Route(const std::string& key) const {
 
 void SessionTable::Bind(const std::string& session,
                         const std::string& dataset) {
-  std::lock_guard<std::mutex> lock(mutex_);
   bindings_[session] = dataset;
 }
 
 void SessionTable::Unbind(const std::string& session) {
-  std::lock_guard<std::mutex> lock(mutex_);
   bindings_.erase(session);
 }
 
 StatusOr<std::string> SessionTable::Lookup(const std::string& session) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   auto it = bindings_.find(session);
   if (it == bindings_.end()) {
     return Status::NotFound(
@@ -70,7 +67,6 @@ StatusOr<std::string> SessionTable::Lookup(const std::string& session) const {
 }
 
 size_t SessionTable::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   return bindings_.size();
 }
 

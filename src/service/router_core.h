@@ -1,12 +1,13 @@
 // Routing policy for the sharded multi-worker front door (dpclustx_router).
 //
-// The router process (tools/dpclustx_router.cc) supervises N dpclustx_serve
-// shard workers (each owning a disjoint set of datasets, with its own
-// snapshot + audit journal) and optionally R read-only replicas per shard.
+// The router (service/router.h, run by tools/dpclustx_router) supervises N
+// dpclustx_serve shard workers (each owning a disjoint set of datasets,
+// with its own snapshot + audit journal) and optionally R read-only
+// replicas per shard.
 // Everything that is *policy* — which worker a request belongs to, which
 // requests may be served by a replica, how a session maps to its dataset,
 // how respawn delays grow — lives here, process-free and unit-testable.
-// The tool owns only the mechanics (pipes, threads, kill/respawn).
+// service/router.h owns only the mechanics (pipes, timers, kill/respawn).
 //
 // Sharding is a consistent-hash ring over dataset names with virtual nodes,
 // so dataset→shard assignments are deterministic across router restarts
@@ -46,7 +47,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -96,7 +96,8 @@ struct RouteDecision {
   std::string dataset;  // set for kShard / kReplicaRead
 };
 
-/// Thread-safe session→dataset bindings learned from create_session.
+/// Session→dataset bindings learned from create_session. Not thread-safe:
+/// the router consults it on its one event-loop thread.
 class SessionTable {
  public:
   void Bind(const std::string& session, const std::string& dataset);
@@ -106,7 +107,6 @@ class SessionTable {
   size_t size() const;
 
  private:
-  mutable std::mutex mutex_;
   std::map<std::string, std::string> bindings_;
 };
 

@@ -33,11 +33,31 @@
 // shed checks — bounded in practice by hard limit + one in-flight
 // response per worker).
 //
-// Threading: OnFrame runs on the event-loop thread (handlers must be
-// quick: classify + hand off). Send() is thread-safe and wakes the loop
-// through an eventfd; worker completion threads call it directly. Send to
-// a connection that has closed returns false and the response is counted
-// dropped (dpclustx_transport_dropped_responses_total).
+// Threading: one event-loop thread owns every fd — listeners, accepted
+// sockets, adopted fd pairs — and every timer. Run() serves on the calling
+// thread; Start() runs the same loop on a new thread. OnFrame, adopted
+// frame/EOF handlers, timers and the HTTP handler all run on the loop
+// thread and must be quick (classify + hand off, never wait). Send(),
+// QueuedBytes() and ActiveConnections() are thread-safe (conns_mutex_): a
+// Send from another thread wakes the loop through an eventfd, one from the
+// loop thread just marks the connection for the flush that follows the
+// current callback. Everything else is loop-thread-only once the loop runs.
+// Send to a connection that has closed returns false and the response is
+// counted dropped (dpclustx_transport_dropped_responses_total).
+//
+// Adopted fds: Adopt() serves an already-open fd pair — a pipe pair to a
+// child process, or the process's own stdin/stdout — as a connection with
+// the same non-blocking write queue, but no frame cap, no HTTP detection,
+// no read suspension and none of the client counters. Read EOF calls the
+// owner's handler instead of closing, so responses can still go out. The
+// transport never changes an fd's O_NONBLOCK flag: a blocking fd (the
+// inherited fd 0 and 1) is read once per readiness event and written in
+// PIPE_BUF-sized pieces only after poll() reports room, and an fd epoll
+// refuses (a regular file, /dev/null) is treated as always ready.
+//
+// Timers: RunAfter(ms, fn) queues fn on the loop thread; the earliest
+// deadline bounds epoll_wait's timeout. There is no cancel — a callback
+// that may have gone stale checks its own state when it fires.
 //
 // Addresses: "unix:/path/to.sock" (the path is unlinked before bind) and
 // "tcp:PORT" / "tcp:HOST:PORT" (numeric host, default 127.0.0.1 — bind a
@@ -49,7 +69,10 @@
 #ifndef DPCLUSTX_SERVICE_TRANSPORT_H_
 #define DPCLUSTX_SERVICE_TRANSPORT_H_
 
+#include <sys/types.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -92,9 +115,8 @@ struct TransportOptions {
   size_t write_hard_limit_bytes = 4u << 20;
 };
 
-/// Connection identity, unique for the lifetime of a Transport. Front
-/// doors may reserve their own out-of-band ids below kFirstConnId (the
-/// router uses 0 for the stdin/stdout compatibility client).
+/// Connection identity, unique for the lifetime of a Transport (accepted
+/// and adopted connections share one id space, starting at kFirstConnId).
 using ConnId = uint64_t;
 inline constexpr ConnId kFirstConnId = 1u << 10;
 
@@ -123,34 +145,59 @@ class Transport {
   Transport& operator=(const Transport&) = delete;
 
   /// Binds and listens on `spec` ("unix:/path" / "tcp:PORT"); call before
-  /// Start, any number of times (a router can listen on both). For
+  /// the loop runs, any number of times (a router can listen on both). For
   /// "tcp:0" the kernel picks a port — read it back via BoundPort().
   Status Listen(const std::string& spec);
 
   /// Port of the `index`-th successful Listen (0 for unix listeners).
   uint16_t BoundPort(size_t index) const;
 
-  /// Installs the scrape handler; call before Start. A connection whose
-  /// FIRST frame is an HTTP/1.x GET request line ("GET /metrics HTTP/1.1")
-  /// switches into one-shot HTTP mode: the remaining request headers are
-  /// consumed up to the blank terminator line, the handler's response is
-  /// written with Connection: close, and the connection closes once it
-  /// flushes — so a stock Prometheus scrapes the same --listen address the
-  /// line protocol serves, with no sidecar and no separate port. Without a
-  /// handler every path answers 404. JSON-protocol clients are unaffected:
-  /// their first frame starts with '{', never "GET ".
+  /// Installs the scrape handler; call before the loop runs. A connection
+  /// whose FIRST frame is an HTTP/1.x GET request line ("GET /metrics
+  /// HTTP/1.1") switches into one-shot HTTP mode: the remaining request
+  /// headers are consumed up to the blank terminator line, the handler's
+  /// response is written with Connection: close, and the connection closes
+  /// once it flushes — so a stock Prometheus scrapes the same --listen
+  /// address the line protocol serves, with no sidecar and no separate
+  /// port. Without a handler every path answers 404. JSON-protocol clients
+  /// are unaffected: their first frame starts with '{', never "GET ".
   void SetHttpHandler(HttpHandler handler);
 
-  /// Starts the event loop. Listen must have succeeded at least once.
+  /// Serves the distinct fds `read_fd` (frames to `on_frame`) and
+  /// `write_fd` (Send) as one connection; the transport owns and closes
+  /// both. `on_eof` runs once when `read_fd` reaches EOF or fails; the
+  /// connection stays writable until Close(). Loop thread, or before the
+  /// loop runs.
+  ConnId Adopt(int read_fd, int write_fd, FrameHandler on_frame,
+               std::function<void()> on_eof);
+
+  /// Loop thread: closes an adopted connection's write fd (its peer reads
+  /// EOF) and drops what was still queued; reading goes on until EOF.
+  void CloseWrite(ConnId conn);
+
+  /// Loop thread: closes `conn` and its fds; unflushed output is dropped.
+  void Close(ConnId conn);
+
+  /// Runs `fn` on the loop thread once `delay_ms` has passed. Loop thread,
+  /// or before the loop runs.
+  void RunAfter(int64_t delay_ms, std::function<void()> fn);
+
+  /// Serves on the calling thread until Stop(); on return every connection
+  /// and listener is closed.
+  void Run(FrameHandler on_frame);
+
+  /// Run() on a new thread. Listen must have succeeded at least once.
   Status Start(FrameHandler on_frame);
 
-  /// Stops the loop, closes every connection and listener, joins.
-  /// Queued responses not yet flushed are dropped (and counted).
+  /// Ends the loop. From the loop thread it returns at once and Run()
+  /// unwinds after the current callback; from any other thread it wakes
+  /// the loop and joins the Start() thread. Queued responses not yet
+  /// flushed are dropped (and counted).
   void Stop();
 
-  /// Thread-safe. Queues `line` (+'\n') for `conn` and wakes the loop.
-  /// False when the connection is gone — the caller's response is dropped
-  /// and counted; nothing else to do.
+  /// Thread-safe. Queues `line` (+'\n') for `conn`. False when the
+  /// connection (or its write side) is gone — the caller's response is
+  /// dropped and counted; nothing else to do.
   bool Send(ConnId conn, const std::string& line);
 
   /// Thread-safe: bytes currently queued toward `conn` (0 when gone).
@@ -159,37 +206,64 @@ class Transport {
 
   const TransportOptions& options() const { return options_; }
 
-  /// Live connection count (for status surfaces).
+  /// Accepted client connection count (for status surfaces).
   size_t ActiveConnections() const;
 
  private:
   struct Conn;
   struct Listener;
+  struct Timer {
+    std::chrono::steady_clock::time_point due;
+    uint64_t seq = 0;  // FIFO among equal deadlines
+    std::function<void()> fn;
+    friend bool operator>(const Timer& a, const Timer& b) {
+      return a.due != b.due ? a.due > b.due : a.seq > b.seq;
+    }
+  };
 
+  Conn* Find(ConnId id) const;  // nullptr once closed
+  void Wake();                  // eventfd: the loop re-checks its state
   void EventLoop();
+  int NextTimeoutMs() const;
+  void RunDueTimers();
+  void FlushDirty();
   void Accept(Listener& listener);
   void HandleReadable(Conn& conn);
+  bool DeliverFrames(Conn& conn, const char* data, size_t size);
+  void RejectOversized(Conn& conn);
   void QueueHttpResponse(Conn& conn);  // headers consumed; answer + close
-  void HandleWritable(Conn& conn);
+  void Enqueue(Conn& conn, std::string payload);  // holds conns_mutex_
   void FlushSome(Conn& conn);     // one non-blocking write burst
+  ssize_t WriteSome(Conn& conn, const char* data, size_t size);
   void UpdateInterest(Conn& conn);
-  void CloseConn(ConnId id);
+  void CloseWriteLocked(Conn& conn);  // holds conns_mutex_
+  void CloseConn(Conn& conn);
+  void CloseAll();
 
   TransportOptions options_;
   FrameHandler on_frame_;
-  HttpHandler http_handler_;  // set before Start; event-loop thread reads
+  HttpHandler http_handler_;  // set before the loop runs
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
   std::vector<std::unique_ptr<Listener>> listeners_;
 
-  mutable std::mutex conns_mutex_;  // guards conns_ map + per-conn out state
+  mutable std::mutex conns_mutex_;  // guards conns_, clients_, dirty_ and
+                                    // per-conn out state
   std::map<ConnId, std::unique_ptr<Conn>> conns_;
+  size_t clients_ = 0;              // accepted (not adopted) connections
+  std::vector<ConnId> dirty_;       // conns with output to flush
   ConnId next_conn_id_ = kFirstConnId;
 
+  // Event-loop-thread state.
+  std::vector<std::unique_ptr<Conn>> closed_;  // freed after each iteration
+  std::vector<ConnId> unpolled_readers_;       // read fds epoll refused
+  std::vector<Timer> timers_;  // min-heap on (due, seq): std::greater<>
+  uint64_t timer_seq_ = 0;
+
   std::thread loop_;
-  // Written by Start()/Stop() on the owner thread, read by EventLoop();
-  // atomic so the loop observes Stop() without taking conns_mutex_.
+  // Cleared by Stop() from any thread; the loop re-checks it after every
+  // callback.
   std::atomic<bool> running_{false};
 
   // Metrics (process registry; names in DESIGN.md §14).

@@ -6,8 +6,11 @@
 
 #include "service/router_core.h"
 
+#include <dirent.h>
+#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -23,6 +26,7 @@
 
 #include "common/json.h"
 #include "gtest/gtest.h"
+#include "service/transport.h"
 
 namespace dpclustx::service {
 namespace {
@@ -248,6 +252,8 @@ class RouterProcess {
   }
 
   ~RouterProcess() { Stop(); }
+
+  pid_t pid() const { return pid_; }
 
   void Stop() {
     if (stdin_fd_ >= 0) {
@@ -786,6 +792,255 @@ TEST(RouterE2eTest, MetricsBroadcastReturnsFleetRollup) {
   const JsonValue& counters = fleet.at("counters");
   EXPECT_TRUE(counters.Has("dpclustx_router_tc_spliced_total"))
       << fleet.Dump();
+}
+
+
+// ---- one event loop: a stopped worker must not wedge the router -------
+
+/// Writes all of `data` to the blocking socket `fd` without ever blocking
+/// longer than `timeout_ms` in total (a wedged router must fail the test,
+/// not hang it).
+bool SendAllWithin(int fd, const std::string& data, int timeout_ms) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  size_t off = 0;
+  while (off < data.size()) {
+    const ssize_t n = ::send(fd, data.data() + off, data.size() - off,
+                             MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n > 0) {
+      off += static_cast<size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+      return false;
+    }
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return false;
+    struct pollfd pfd = {fd, POLLOUT, 0};
+    ::poll(&pfd, 1, static_cast<int>(left.count()));
+  }
+  return true;
+}
+
+/// One request/response on `channel` with a hard deadline; Null on timeout.
+JsonValue CallWithin(ClientChannel& channel, const std::string& request,
+                     int timeout_ms) {
+  if (!SendAllWithin(channel.fd(), request + "\n", timeout_ms)) {
+    return JsonValue::Null();
+  }
+  StatusOr<std::string> line = channel.RecvLine(timeout_ms);
+  if (!line.ok()) return JsonValue::Null();
+  StatusOr<JsonValue> parsed = JsonValue::Parse(*line);
+  return parsed.ok() ? std::move(*parsed) : JsonValue::Null();
+}
+
+/// pid + liveness of `worker` from a _router_status answer; {-1, false}
+/// when the answer is missing or does not list the worker.
+std::pair<pid_t, bool> WorkerState(const JsonValue& status,
+                                   const std::string& worker) {
+  if (status.type() != JsonValue::Type::kObject || !status.Has("workers")) {
+    return {-1, false};
+  }
+  const JsonValue& workers = status.at("workers");
+  for (size_t i = 0; i < workers.size(); ++i) {
+    const JsonValue& w = workers.at(i);
+    if (w.at("name").AsString() == worker) {
+      return {static_cast<pid_t>(w.at("pid").AsNumber()),
+              w.at("alive").AsBool()};
+    }
+  }
+  return {-1, false};
+}
+
+size_t ThreadCount(pid_t pid) {
+  size_t threads = 0;
+  DIR* dir = ::opendir(("/proc/" + std::to_string(pid) + "/task").c_str());
+  if (dir == nullptr) return 0;
+  while (const dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] != '.') ++threads;
+  }
+  ::closedir(dir);
+  return threads;
+}
+
+TEST(RouterE2eTest, StoppedWorkerNeverWedgesOtherClients) {
+  const std::string state = FreshStateDir("wedge");
+  const std::string socket_path =
+      "/tmp/dpx_rt_wedge_" + std::to_string(::getpid()) + ".sock";
+  std::vector<std::string> args = RouterArgs(state, "2", "1");
+  args.insert(args.begin() + 1, {"--listen", "unix:" + socket_path});
+  // Tighter health checks than RouterArgs: deadline 300ms, so a stopped
+  // worker is declared dead after three 300ms misses.
+  for (size_t i = 0; i + 1 < args.size(); ++i) {
+    if (args[i] == "--health-deadline-ms") args[i + 1] = "300";
+  }
+  RouterProcess router(std::move(args));
+  for (int i = 0; i < 400 && ::access(socket_path.c_str(), F_OK) != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  ASSERT_EQ(::access(socket_path.c_str(), F_OK), 0) << "no router socket";
+
+  // The router's worker threads, reader threads and health thread are gone:
+  // everything runs on one event loop, whatever the fleet size.
+  EXPECT_LE(ThreadCount(router.pid()), 2u);
+
+  auto connect = [&] {
+    StatusOr<std::unique_ptr<ClientChannel>> channel =
+        ClientChannel::Connect("unix:" + socket_path);
+    EXPECT_TRUE(channel.ok()) << channel.status().ToString();
+    return channel.ok() ? std::move(*channel) : nullptr;
+  };
+  std::unique_ptr<ClientChannel> a = connect();
+  std::unique_ptr<ClientChannel> b = connect();
+  std::unique_ptr<ClientChannel> c = connect();
+  ASSERT_TRUE(a && b && c);
+
+  const std::pair<pid_t, bool> before = WorkerState(
+      CallWithin(*b, R"({"op":"_router_status","id":"s0"})", 5000),
+      "shard-0");
+  ASSERT_GT(before.first, 0);
+  ASSERT_TRUE(before.second);
+
+  // A long dataset name owned by shard-0 (placement is a pure function of
+  // the name), so each request is a few hundred bytes.
+  RouterCore placement({"shard-0", "shard-1"}, 64);
+  std::string dataset;
+  for (int i = 0; dataset.empty(); ++i) {
+    const std::string name = std::string(240, 'w') + std::to_string(i);
+    if (placement.ShardFor(name) == "shard-0") dataset = name;
+  }
+
+  ASSERT_EQ(::kill(before.first, SIGSTOP), 0);
+  const auto stopped_at = std::chrono::steady_clock::now();
+  constexpr size_t kOwed = 600;
+  std::string burst;
+  for (size_t i = 0; i < kOwed; ++i) {
+    burst += R"({"op":"schema","dataset":")" + dataset + R"(","id":"a)" +
+             std::to_string(i) + "\"}\n";
+  }
+  ASSERT_GE(burst.size(), 128u << 10);
+  const bool burst_sent = SendAllWithin(a->fd(), burst, 5000);
+  EXPECT_TRUE(burst_sent) << "router stopped reading connection A";
+
+  // B is answered promptly although shard-0 owes A ~150 KiB of requests.
+  const auto status_sent = std::chrono::steady_clock::now();
+  const JsonValue status =
+      CallWithin(*b, R"({"op":"_router_status","id":"s1"})", 1000);
+  EXPECT_TRUE(status.type() == JsonValue::Type::kObject && status.Has("ok"))
+      << "_router_status on B stalled behind the stopped worker";
+  EXPECT_LT(std::chrono::steady_clock::now() - status_sent,
+            std::chrono::seconds(1));
+
+  // A replica sync waits on shard-0's save_snapshot; it must not stall C.
+  EXPECT_TRUE(SendAllWithin(
+      b->fd(), "{\"op\":\"_router_sync_replicas\",\"id\":\"sync\"}\n", 1000));
+  const JsonValue c_status =
+      CallWithin(*c, R"({"op":"_router_status","id":"c1"})", 1000);
+  EXPECT_TRUE(c_status.type() == JsonValue::Type::kObject &&
+              c_status.Has("ok"))
+      << "_router_sync_replicas on B stalled connection C";
+
+  // The health checks kill the stopped shard and respawn it.
+  pid_t respawned = -1;
+  while (std::chrono::steady_clock::now() - stopped_at <
+         std::chrono::milliseconds(2500)) {
+    const std::pair<pid_t, bool> now = WorkerState(
+        CallWithin(*c, R"({"op":"_router_status","id":"c2"})", 1000),
+        "shard-0");
+    if (now.second && now.first > 0 && now.first != before.first) {
+      respawned = now.first;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  EXPECT_GT(respawned, 0) << "shard-0 was not killed and respawned in time";
+  if (respawned <= 0) ::kill(before.first, SIGKILL);  // unwedge teardown
+
+  // Every request owed to A ends with the retryable Internal error: none
+  // is lost, none answered twice.
+  std::set<std::string> failed;
+  for (size_t i = 0; burst_sent && i < kOwed; ++i) {
+    StatusOr<std::string> line = a->RecvLine(5000);
+    ASSERT_TRUE(line.ok()) << "after " << i << " responses: "
+                           << line.status().ToString();
+    StatusOr<JsonValue> response = JsonValue::Parse(*line);
+    ASSERT_TRUE(response.ok()) << *line;
+    EXPECT_FALSE(response->at("ok").AsBool()) << *line;
+    EXPECT_EQ(response->at("error").at("code").AsString(), "Internal")
+        << *line;
+    EXPECT_NE(response->at("error").at("message").AsString().find("retry"),
+              std::string::npos)
+        << *line;
+    EXPECT_TRUE(failed.insert(response->at("id").AsString()).second) << *line;
+  }
+  EXPECT_EQ(failed.size(), burst_sent ? kOwed : 0u);
+
+  StatusOr<std::string> synced = b->RecvLine(10000);
+  ASSERT_TRUE(synced.ok()) << synced.status().ToString();
+  EXPECT_NE(synced->find("\"sync\""), std::string::npos) << *synced;
+
+  EXPECT_LE(ThreadCount(router.pid()), 2u);
+  a.reset();
+  b.reset();
+  c.reset();
+  router.Stop();
+  ::unlink(socket_path.c_str());
+}
+
+// ---- flag parsing ------------------------------------------------------
+
+/// Runs `args` to completion with stdin at /dev/null; returns the exit
+/// code (-1 if it did not exit normally) and what it printed on stderr.
+std::pair<int, std::string> RunToExit(const std::vector<std::string>& args) {
+  int err[2];
+  EXPECT_EQ(::pipe(err), 0);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    const int devnull = ::open("/dev/null", O_RDWR);
+    ::dup2(devnull, STDIN_FILENO);
+    ::dup2(devnull, STDOUT_FILENO);
+    ::dup2(err[1], STDERR_FILENO);
+    ::close(err[0]);
+    ::close(err[1]);
+    std::vector<char*> argv;
+    for (const std::string& a : args) {
+      argv.push_back(const_cast<char*>(a.c_str()));
+    }
+    argv.push_back(nullptr);
+    ::execv(argv[0], argv.data());
+    ::_exit(127);
+  }
+  ::close(err[1]);
+  std::string text;
+  char chunk[4096];
+  ssize_t n;
+  while ((n = ::read(err[0], chunk, sizeof(chunk))) > 0) {
+    text.append(chunk, static_cast<size_t>(n));
+  }
+  ::close(err[0]);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, text};
+}
+
+TEST(FlagParsingTest, BadNumericFlagsExitTwoWithUsage) {
+  const std::string build = BuildDir();
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {build + "/tools/dpclustx_router", "--workers"},
+      {build + "/tools/dpclustx_router", "--health-interval-ms"},
+      {build + "/tools/dpclustx_serve", "--threads"},
+      {build + "/tools/dpclustx_serve", "--queue"},
+  };
+  for (const auto& [binary, flag] : cases) {
+    for (const char* value :
+         {"abc", "-1", "12abc", "", "99999999999999999999999"}) {
+      const auto [code, err] = RunToExit({binary, flag, value});
+      EXPECT_EQ(code, 2) << binary << " " << flag << " '" << value << "'";
+      EXPECT_NE(err.find("usage:"), std::string::npos)
+          << binary << " " << flag << " '" << value << "': " << err;
+    }
+  }
 }
 
 }  // namespace

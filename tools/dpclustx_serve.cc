@@ -70,6 +70,7 @@
 // snapshot, flushes, and exits 0. See README.md for a quickstart transcript.
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -140,24 +141,31 @@ constexpr const char kUsage[] =
     "  --version                print build provenance and exit\n"
     "  --help                   print this flag table and exit\n";
 
+[[noreturn]] void UsageError(const std::string& message) {
+  std::cerr << message << "\n" << kUsage;
+  std::exit(2);
+}
+
+/// Parses a non-negative decimal flag value; anything else — a sign, a
+/// non-digit, an empty string, an overflow — is a usage error.
 bool ParseSizeFlag(int argc, char** argv, int* i, const char* name,
                    size_t* out) {
   if (std::strcmp(argv[*i], name) != 0) return false;
-  if (*i + 1 >= argc) {
-    std::cerr << name << " needs a value\n";
-    std::exit(2);
+  if (*i + 1 >= argc) UsageError(std::string(name) + " needs a value");
+  const char* text = argv[++*i];
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, *out);
+  if (ec != std::errc() || ptr != end || text == end) {
+    UsageError(std::string(name) + " needs a non-negative integer, got '" +
+               text + "'");
   }
-  *out = static_cast<size_t>(std::stoull(argv[++*i]));
   return true;
 }
 
 bool ParseStringFlag(int argc, char** argv, int* i, const char* name,
                      std::string* out) {
   if (std::strcmp(argv[*i], name) != 0) return false;
-  if (*i + 1 >= argc) {
-    std::cerr << name << " needs a value\n";
-    std::exit(2);
-  }
+  if (*i + 1 >= argc) UsageError(std::string(name) + " needs a value");
   *out = argv[++*i];
   return true;
 }
