@@ -1,7 +1,10 @@
 // Ablation: multithreaded Stage-2 search. The k^|C| enumeration dominates
-// runtime past ~11 clusters (Fig. 9a); it shards perfectly across threads.
-// This bench measures the serial vs parallel search on large combination
-// spaces and verifies (in exact mode) that the results agree.
+// runtime past ~11 clusters (Fig. 9a). The search cuts it into blocks of at
+// most 4,096 combinations whose max and weight-sum passes spread over the
+// compute pool; the result depends on the seed alone, so every thread count
+// returns the same combination in exact and private mode. This bench times
+// the serial vs parallel search (exact mode: the max pass only) on large
+// combination spaces and verifies that the results agree.
 
 #include <cstdio>
 #include <thread>

@@ -2,11 +2,13 @@
 # Repository check: build and run the test suite in the default
 # configuration, then rebuild the concurrency-sensitive targets under
 # ThreadSanitizer and run the threaded tests (thread pool, service layer,
-# budget accountant, EDA sessions, metrics registry, transport, router)
-# with race detection on, then rebuild the
-# request-path targets under ASan+UBSan and run the service/robustness
-# tests — no std::abort, overflow, or memory error may be reachable from
-# request input. The ingest plane (csv_test, columnar_format_test) runs
+# budget accountant, EDA sessions, metrics registry, transport, router,
+# and the Stage-2 combination search, whose block sums run on the compute
+# pool) with race detection on, then rebuild the
+# request-path targets under ASan+UBSan (float-cast-overflow included) and
+# run the service/robustness tests — no std::abort, overflow, out-of-range
+# float-to-integer cast, or memory error may be reachable from request
+# input. The ingest plane (csv_test, columnar_format_test) runs
 # under ASan too: CSV bytes and DPXCOL headers are untrusted input. The
 # ASan pass also drives three end-to-end smokes against the real binaries:
 # a snapshot round-trip (charge, kill, restore, check the ledger), a
@@ -368,17 +370,19 @@ else
   cmake --build build-tsan -j --target \
     thread_pool_test service_test privacy_budget_test eda_session_test \
     parallel_equivalence_test dataset_layout_test obs_test \
-    transport_test router_test \
+    transport_test router_test explainer_test \
     >/dev/null
   # DPCLUSTX_THREADS=8 widens the shared compute pool so the ParallelFor
-  # kernels genuinely interleave under TSan even on narrow CI hosts.
+  # kernels (StatsCache counting, clustering, the Stage-2 block sums in
+  # explainer_test and parallel_equivalence_test) genuinely interleave
+  # under TSan even on narrow CI hosts.
   # transport_test races the epoll loop against concurrent ClientChannel
   # threads (and forks the TSan-built router for the socket e2e cases);
   # router_test forks the TSan-built router over pipes, kills and stops
   # its workers, and asserts the router stays on at most two threads.
   (cd build-tsan &&
    DPCLUSTX_THREADS=8 ctest --output-on-failure \
-     -R '^(thread_pool_test|service_test|privacy_budget_test|eda_session_test|parallel_equivalence_test|dataset_layout_test|obs_test|transport_test|router_test)$')
+     -R '^(thread_pool_test|service_test|privacy_budget_test|eda_session_test|parallel_equivalence_test|dataset_layout_test|obs_test|transport_test|router_test|explainer_test)$')
 fi
 
 if [[ "$SKIP_NATIVE" == 1 ]]; then

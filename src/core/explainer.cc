@@ -1,5 +1,6 @@
 #include "core/explainer.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
@@ -14,13 +15,6 @@
 namespace dpclustx {
 
 namespace core_internal {
-
-namespace {
-// Combinations scanned between deadline checks. Power of two so the
-// checkpoint is a mask test; coarse enough (a few µs of lookups per block)
-// that the steady_clock read is amortized to noise.
-constexpr size_t kDeadlineCheckStride = 4096;
-}  // namespace
 
 CombinationScoreTables BuildLowSensitivityTables(
     const StatsCache& stats,
@@ -67,16 +61,243 @@ CombinationScoreTables BuildLowSensitivityTables(
   return tables;
 }
 
+namespace {
+
+// Most combinations in one block. A block is the unit of parallel work and
+// of deadline checks, and the first level of the sampler; the search keeps
+// O(k^|C| / 4096) block results, never a buffer per combination. Blocks hold
+// whole tiles (below), so a block is one tile when k_0·k_1 exceeds this.
+constexpr size_t kBlockCombinations = 4096;
+
+// Selection weights exp(scale·(s − s*)) ∈ [0, 1] are truncated to integer
+// multiples of 2^-62 (exactly: the scaling by 2^62 is exact). Their sums are
+// then exact integers, identical in any summation order or thread count, and
+// the draw is an exact uniform integer. A weight below 2^-62 truncates to 0:
+// scaled gaps beyond 62·ln 2 ≈ 42.98 are unreachable (docs/PRIVACY.md,
+// caveat 2).
+constexpr double kWeightOne = 0x1.0p62;
+__extension__ typedef unsigned __int128 WeightSum;
+
+// Exactly uniform integer in [0, bound), bound > 0: rejection from the
+// smallest power-of-two range covering it (fewer than two rounds expected).
+WeightSum UniformBelow(Rng& rng, WeightSum bound) {
+  WeightSum mask = bound - 1;
+  for (int shift = 1; shift < 128; shift <<= 1) mask |= mask >> shift;
+  for (;;) {
+    const WeightSum high = rng.engine()();
+    const WeightSum draw = ((high << 64) | rng.engine()()) & mask;
+    if (draw < bound) return draw;
+  }
+}
+
+// Enumerates the combinations in mixed-radix order (cluster 0 least
+// significant) and scores them incrementally, a tile at a time: a tile fixes
+// the choices of clusters 2..|C|-1 and spans every choice of clusters 0 and
+// 1, so its scores are v0[j0] + v1[j1] + pair01[j0][j1]. Level c (2 ≤ c <
+// |C|) holds v0 and v1 summed over clusters c..|C|-1: their unary terms,
+// their pair terms among themselves (in v0) and their pair terms against
+// clusters 0 and 1. An odometer step recomputes only the levels whose choice
+// changed. Every score is the same sequence of additions over its choices,
+// so a combination scores bitwise-identically in every pass and from any
+// block start, and the work per block depends only on the candidate-set
+// sizes, never on the scores.
+class CombinationScanner {
+ public:
+  CombinationScanner(const std::vector<std::vector<AttrIndex>>& candidate_sets,
+                     const CombinationScoreTables& tables)
+      : clusters_(candidate_sets.size()),
+        has_pairs_(!tables.pair.empty()),
+        sizes_(clusters_),
+        unary_(clusters_),
+        pair_(clusters_ * clusters_) {
+    for (size_t c = 0; c < clusters_; ++c) {
+      sizes_[c] = candidate_sets[c].size();
+      unary_[c] = tables.unary[c].data();
+      if (c >= 2) num_tiles_ *= sizes_[c];
+    }
+    k0_ = sizes_[0];
+    k1_ = clusters_ >= 2 ? sizes_[1] : 1;
+    // With one cluster, cluster 1 is a single choice scoring 0.
+    v1_base_ = clusters_ >= 2 ? tables.unary[1] : std::vector<double>{0.0};
+    // pair01_[j1·k0 + j0]; zero without pair terms keeps the tile uniform.
+    pair01_.assign(k0_ * k1_, 0.0);
+    if (has_pairs_ && clusters_ >= 2) {
+      for (size_t j0 = 0; j0 < k0_; ++j0) {
+        for (size_t j1 = 0; j1 < k1_; ++j1) {
+          pair01_[j1 * k0_ + j0] = tables.pair[0][1][j0 * k1_ + j1];
+        }
+      }
+    }
+    tiles_per_block_ = std::max<size_t>(1, kBlockCombinations / (k0_ * k1_));
+    num_blocks_ = (num_tiles_ + tiles_per_block_ - 1) / tiles_per_block_;
+    if (!has_pairs_) return;
+    // Pair terms of clusters 0 and 1 against an outer cluster c, transposed
+    // to k_c contiguous rows of k0 (resp. k1).
+    outer_offset_.resize(clusters_);
+    for (size_t c = 2; c < clusters_; ++c) {
+      for (size_t cp = c + 1; cp < clusters_; ++cp) {
+        pair_[c * clusters_ + cp] = tables.pair[c][cp].data();
+      }
+      outer_offset_[c] = outer_pairs_.size();
+      for (size_t inner = 0; inner < 2; ++inner) {
+        const size_t k = sizes_[inner];
+        for (size_t j = 0; j < sizes_[c]; ++j) {
+          for (size_t ji = 0; ji < k; ++ji) {
+            outer_pairs_.push_back(tables.pair[inner][c][ji * sizes_[c] + j]);
+          }
+        }
+      }
+    }
+  }
+
+  size_t num_blocks() const { return num_blocks_; }
+
+  /// Calls tile(first, scores, count) for every tile of `block` in order;
+  /// scores[i] (i < count) is the score of combination index first + i.
+  template <typename TileFn>
+  void ScanBlock(size_t block, TileFn&& tile) const {
+    const size_t tile_begin = block * tiles_per_block_;
+    const size_t tile_end = std::min(num_tiles_, tile_begin + tiles_per_block_);
+    const size_t outer = clusters_ > 2 ? clusters_ - 2 : 0;
+    std::vector<size_t> choice(clusters_, 0);
+    // Level c (outer cluster c) at levels[(c - 2)·(k0 + k1)]: k0 values of
+    // v0, then k1 of v1.
+    std::vector<double> levels(outer * (k0_ + k1_));
+    std::vector<double> scores(k0_ * k1_);
+    size_t remainder = tile_begin;
+    for (size_t c = 2; c < clusters_; ++c) {
+      choice[c] = remainder % sizes_[c];
+      remainder /= sizes_[c];
+    }
+    for (size_t c = clusters_; c-- > 2;) Recompute(c, choice, levels);
+    const double* v0 = outer > 0 ? levels.data() : unary_[0];
+    const double* v1 = outer > 0 ? levels.data() + k0_ : v1_base_.data();
+    for (size_t t = tile_begin; t < tile_end; ++t) {
+      for (size_t j1 = 0; j1 < k1_; ++j1) {
+        const double* pair01 = &pair01_[j1 * k0_];
+        double* row = &scores[j1 * k0_];
+        for (size_t j0 = 0; j0 < k0_; ++j0) {
+          row[j0] = v0[j0] + v1[j1] + pair01[j0];
+        }
+      }
+      tile(t * k0_ * k1_, scores.data(), scores.size());
+      size_t top = 2;
+      for (; top < clusters_; ++top) {
+        if (++choice[top] < sizes_[top]) break;
+        choice[top] = 0;
+      }
+      if (t + 1 == tile_end) break;
+      for (size_t c = top + 1; c-- > 2;) Recompute(c, choice, levels);
+    }
+  }
+
+ private:
+  // Level c from level c+1 (level |C| is the unary rows of clusters 0 and 1)
+  // and cluster c's current choice.
+  void Recompute(size_t c, const std::vector<size_t>& choice,
+                 std::vector<double>& levels) const {
+    const size_t stride = k0_ + k1_;
+    const size_t j = choice[c];
+    double own = unary_[c][j];
+    const double* parent0 = unary_[0];
+    const double* parent1 = v1_base_.data();
+    if (c + 1 < clusters_) {
+      parent0 = &levels[(c - 1) * stride];
+      parent1 = parent0 + k0_;
+    }
+    double* out0 = &levels[(c - 2) * stride];
+    double* out1 = out0 + k0_;
+    if (!has_pairs_) {
+      for (size_t j0 = 0; j0 < k0_; ++j0) out0[j0] = parent0[j0] + own;
+      for (size_t j1 = 0; j1 < k1_; ++j1) out1[j1] = parent1[j1];
+      return;
+    }
+    for (size_t cp = c + 1; cp < clusters_; ++cp) {
+      own += pair_[c * clusters_ + cp][j * sizes_[cp] + choice[cp]];
+    }
+    const double* pair0 = &outer_pairs_[outer_offset_[c] + j * k0_];
+    const double* pair1 =
+        &outer_pairs_[outer_offset_[c] + sizes_[c] * k0_ + j * k1_];
+    for (size_t j0 = 0; j0 < k0_; ++j0) {
+      out0[j0] = parent0[j0] + own + pair0[j0];
+    }
+    for (size_t j1 = 0; j1 < k1_; ++j1) out1[j1] = parent1[j1] + pair1[j1];
+  }
+
+  const size_t clusters_;
+  const bool has_pairs_;
+  std::vector<size_t> sizes_;
+  std::vector<const double*> unary_;
+  std::vector<const double*> pair_;  // [c·|C| + cp] for 2 ≤ c < cp
+  size_t k0_ = 1;
+  size_t k1_ = 1;
+  std::vector<double> v1_base_;
+  std::vector<double> pair01_;
+  std::vector<double> outer_pairs_;
+  std::vector<size_t> outer_offset_;
+  size_t num_tiles_ = 1;
+  size_t tiles_per_block_ = 1;
+  size_t num_blocks_ = 1;
+};
+
+// Rejects tables that do not match the candidate sets, and entries that are
+// not finite or so large that a score could overflow: every partial sum is
+// bounded by the sum of all |entries|, kept below max/2 so that score
+// differences stay finite.
+Status ValidateTables(const std::vector<std::vector<AttrIndex>>& candidate_sets,
+                      const CombinationScoreTables& tables) {
+  const size_t clusters = candidate_sets.size();
+  if (tables.unary.size() != clusters) {
+    return Status::InvalidArgument("score tables do not match clusters");
+  }
+  auto abs_sum = [](const std::vector<double>& values) {
+    double sum = 0.0;
+    for (const double v : values) sum += std::fabs(v);
+    return sum;
+  };
+  double bound = 0.0;
+  for (size_t c = 0; c < clusters; ++c) {
+    if (tables.unary[c].size() != candidate_sets[c].size()) {
+      return Status::InvalidArgument("score tables do not match clusters");
+    }
+    bound += abs_sum(tables.unary[c]);
+    for (size_t cp = c + 1; cp < clusters && !tables.pair.empty(); ++cp) {
+      if (c >= tables.pair.size() || cp >= tables.pair[c].size() ||
+          tables.pair[c][cp].size() !=
+              candidate_sets[c].size() * candidate_sets[cp].size()) {
+        return Status::InvalidArgument("pair tables do not match clusters");
+      }
+      bound += abs_sum(tables.pair[c][cp]);
+    }
+  }
+  if (!(bound <= std::numeric_limits<double>::max() / 2)) {
+    return Status::InvalidArgument("score tables must be finite");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 StatusOr<AttributeCombination> SearchCombination(
     const std::vector<std::vector<AttrIndex>>& candidate_sets,
     const CombinationScoreTables& tables, double epsilon, double sensitivity,
     size_t max_combinations, Rng& rng, const Deadline& deadline) {
+  return SearchCombinationParallel(candidate_sets, tables, epsilon,
+                                   sensitivity, max_combinations, rng,
+                                   /*num_threads=*/1, deadline);
+}
+
+StatusOr<AttributeCombination> SearchCombinationParallel(
+    const std::vector<std::vector<AttrIndex>>& candidate_sets,
+    const CombinationScoreTables& tables, double epsilon, double sensitivity,
+    size_t max_combinations, Rng& rng, size_t num_threads,
+    const Deadline& deadline) {
   const size_t clusters = candidate_sets.size();
   if (clusters == 0) {
     return Status::InvalidArgument("need at least one cluster");
   }
-  if (tables.unary.size() != clusters) {
-    return Status::InvalidArgument("score tables do not match clusters");
+  if (num_threads == 0) {
+    return Status::InvalidArgument("num_threads must be >= 1");
   }
   // Search-space size k_1·k_2·...·k_|C| with overflow-safe accumulation.
   size_t num_combinations = 1;
@@ -92,179 +313,123 @@ StatusOr<AttributeCombination> SearchCombination(
     }
     num_combinations *= set.size();
   }
-
-  const bool has_pairs = !tables.pair.empty();
-  // Stream over all combinations with an odometer; track the argmax of
-  // score·ε/(2Δ) + Gumbel(1) (the exponential mechanism via Gumbel-max), or
-  // the exact argmax when epsilon <= 0 (non-private limit).
+  DPX_RETURN_IF_ERROR(ValidateTables(candidate_sets, tables));
+  // The exponential mechanism at ε over score/Δ draws a combination with
+  // probability ∝ exp(scale·score); epsilon <= 0 asks for the exact argmax
+  // (the non-private limit).
   const bool private_selection = epsilon > 0.0;
-  if (private_selection && sensitivity <= 0.0) {
-    return Status::InvalidArgument("sensitivity must be positive");
-  }
-  const double scale =
-      private_selection ? epsilon / (2.0 * sensitivity) : 1.0;
-  std::vector<size_t> choice(clusters, 0);
-  std::vector<size_t> best_choice(clusters, 0);
-  double best_value = -std::numeric_limits<double>::infinity();
-  for (size_t combo = 0; combo < num_combinations; ++combo) {
-    if ((combo & (kDeadlineCheckStride - 1)) == 0) {
-      DPX_RETURN_IF_ERROR(deadline.Check("stage2 search"));
-    }
-    double score = 0.0;
-    for (size_t c = 0; c < clusters; ++c) {
-      score += tables.unary[c][choice[c]];
-    }
-    if (has_pairs) {
-      for (size_t c = 0; c < clusters; ++c) {
-        for (size_t cp = c + 1; cp < clusters; ++cp) {
-          score += tables.pair[c][cp][choice[c] * candidate_sets[cp].size() +
-                                      choice[cp]];
-        }
-      }
-    }
-    const double value =
-        scale * score + (private_selection ? rng.Gumbel(1.0) : 0.0);
-    if (value > best_value) {
-      best_value = value;
-      best_choice = choice;
-    }
-    // Odometer increment.
-    for (size_t c = 0; c < clusters; ++c) {
-      if (++choice[c] < candidate_sets[c].size()) break;
-      choice[c] = 0;
-    }
+  const double scale = epsilon / (2.0 * sensitivity);
+  if (private_selection && !(sensitivity > 0.0 && std::isfinite(scale))) {
+    return Status::InvalidArgument(
+        "sensitivity must be positive and epsilon/sensitivity finite");
   }
 
-  AttributeCombination combination(clusters);
-  for (size_t c = 0; c < clusters; ++c) {
-    combination[c] = candidate_sets[c][best_choice[c]];
-  }
-  return combination;
-}
-
-StatusOr<AttributeCombination> SearchCombinationParallel(
-    const std::vector<std::vector<AttrIndex>>& candidate_sets,
-    const CombinationScoreTables& tables, double epsilon, double sensitivity,
-    size_t max_combinations, Rng& rng, size_t num_threads,
-    const Deadline& deadline) {
-  const size_t clusters = candidate_sets.size();
-  if (clusters == 0) {
-    return Status::InvalidArgument("need at least one cluster");
-  }
-  if (tables.unary.size() != clusters) {
-    return Status::InvalidArgument("score tables do not match clusters");
-  }
-  if (num_threads == 0) {
-    return Status::InvalidArgument("num_threads must be >= 1");
-  }
-  size_t num_combinations = 1;
-  for (const auto& set : candidate_sets) {
-    if (set.empty()) return Status::InvalidArgument("empty candidate set");
-    if (num_combinations > max_combinations / set.size()) {
-      return Status::InvalidArgument("combination space exceeds limit");
-    }
-    num_combinations *= set.size();
-  }
-  const bool private_selection = epsilon > 0.0;
-  if (private_selection && sensitivity <= 0.0) {
-    return Status::InvalidArgument("sensitivity must be positive");
-  }
-  const double scale =
-      private_selection ? epsilon / (2.0 * sensitivity) : 1.0;
-  const bool has_pairs = !tables.pair.empty();
-  const size_t workers = std::min(num_threads, num_combinations);
-
-  struct ShardResult {
-    double best_value = -std::numeric_limits<double>::infinity();
-    std::vector<size_t> best_choice;
-  };
-  std::vector<ShardResult> results(workers);
-  std::vector<Rng> shard_rngs;
-  shard_rngs.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) shard_rngs.push_back(rng.Fork());
-
+  const CombinationScanner scanner(candidate_sets, tables);
+  const size_t blocks = scanner.num_blocks();
+  // Runs pass(block) for every block on the shared compute pool. Each block
+  // writes only its own slot, so results do not depend on num_threads.
   // ParallelFor bodies cannot propagate Status, so cancellation is a shared
-  // flag: the first shard to observe the deadline raises it, every shard
-  // polls it at the same stride and bails, and the Status is materialized
-  // after the join. Relaxed ordering suffices — the flag gates no data.
+  // flag polled once per block; relaxed ordering suffices — it gates no data.
   std::atomic<bool> cancelled{false};
-
-  auto scan_shard = [&](size_t worker) {
-    const size_t begin = worker * num_combinations / workers;
-    const size_t end = (worker + 1) * num_combinations / workers;
-    if (begin >= end) return;
-    Rng& shard_rng = shard_rngs[worker];
-    ShardResult& result = results[worker];
-    // Decode the first index (mixed radix, cluster 0 least significant —
-    // matching the serial odometer), then advance incrementally.
-    std::vector<size_t> choice(clusters);
-    size_t remainder = begin;
-    for (size_t c = 0; c < clusters; ++c) {
-      choice[c] = remainder % candidate_sets[c].size();
-      remainder /= candidate_sets[c].size();
-    }
-    for (size_t combo = begin; combo < end; ++combo) {
-      if ((combo & (kDeadlineCheckStride - 1)) == 0) {
-        if (cancelled.load(std::memory_order_relaxed)) return;
-        if (deadline.Expired()) {
-          cancelled.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-      double score = 0.0;
-      for (size_t c = 0; c < clusters; ++c) {
-        score += tables.unary[c][choice[c]];
-      }
-      if (has_pairs) {
-        for (size_t c = 0; c < clusters; ++c) {
-          for (size_t cp = c + 1; cp < clusters; ++cp) {
-            score +=
-                tables.pair[c][cp][choice[c] * candidate_sets[cp].size() +
-                                   choice[cp]];
+  auto for_each_block = [&](auto&& pass) -> Status {
+    ParallelFor(
+        blocks, /*grain=*/1,
+        [&](size_t /*chunk*/, size_t begin, size_t end) {
+          for (size_t b = begin; b < end; ++b) {
+            if (cancelled.load(std::memory_order_relaxed)) return;
+            if (deadline.Expired()) {
+              cancelled.store(true, std::memory_order_relaxed);
+              return;
+            }
+            pass(b);
           }
-        }
-      }
-      const double value =
-          scale * score +
-          (private_selection ? shard_rng.Gumbel(1.0) : 0.0);
-      // Exact mode tie-break: prefer the lowest combination index, like the
-      // serial scan (strict > keeps the first maximum within a shard; the
-      // merge below prefers lower shards on ties).
-      if (value > result.best_value) {
-        result.best_value = value;
-        result.best_choice = choice;
-      }
-      for (size_t c = 0; c < clusters; ++c) {
-        if (++choice[c] < candidate_sets[c].size()) break;
-        choice[c] = 0;
-      }
+        },
+        num_threads);
+    if (cancelled.load(std::memory_order_relaxed)) {
+      return Status::DeadlineExceeded("deadline exceeded in stage2 search");
     }
+    return Status::OK();
   };
 
-  // The shard structure (and thus each shard's forked noise stream) is fixed
-  // by num_threads; execution runs on the shared compute pool, which may use
-  // fewer threads without changing which shard scans which range.
-  ParallelFor(
-      workers, /*grain=*/1,
-      [&](size_t /*chunk*/, size_t begin, size_t end) {
-        for (size_t w = begin; w < end; ++w) scan_shard(w);
-      },
-      workers);
-  if (cancelled.load(std::memory_order_relaxed)) {
-    return Status::DeadlineExceeded("deadline exceeded in stage2 search");
+  // Pass 1: the exact maximum s* and its lowest index (max-plus scan).
+  std::vector<double> block_max(blocks);
+  std::vector<size_t> block_argmax(blocks);
+  DPX_RETURN_IF_ERROR(for_each_block([&](size_t b) {
+    double best = -std::numeric_limits<double>::infinity();
+    size_t argmax = 0;
+    scanner.ScanBlock(b, [&](size_t first, const double* scores,
+                             size_t count) {
+      for (size_t i = 0; i < count; ++i) {
+        if (scores[i] > best) {
+          best = scores[i];
+          argmax = first + i;
+        }
+      }
+    });
+    block_max[b] = best;
+    block_argmax[b] = argmax;
+  }));
+  size_t best_block = 0;
+  for (size_t b = 1; b < blocks; ++b) {
+    if (block_max[b] > block_max[best_block]) best_block = b;
+  }
+  size_t selected = block_argmax[best_block];
+
+  if (private_selection) {
+    // Pass 2: exact block sums of the weights exp(scale·(s − s*)), which
+    // lie in [0, 1] with the maximum's exactly 1. Then one uniform draw over
+    // the total picks a block, and a rescan of that block walks the same
+    // weights to the combination. Both scans cover whole blocks so the time
+    // depends only on k^|C|.
+    const double top = block_max[best_block];
+    auto weight = [&](double score) {
+      return static_cast<uint64_t>(
+          static_cast<int64_t>(std::exp(scale * (score - top)) * kWeightOne));
+    };
+    std::vector<WeightSum> block_sum(blocks);
+    DPX_RETURN_IF_ERROR(for_each_block([&](size_t b) {
+      WeightSum sum = 0;
+      scanner.ScanBlock(b, [&](size_t /*first*/, const double* scores,
+                               size_t count) {
+        for (size_t i = 0; i < count; ++i) sum += weight(scores[i]);
+      });
+      block_sum[b] = sum;
+    }));
+    WeightSum total = 0;
+    for (const WeightSum sum : block_sum) total += sum;
+    WeightSum remaining = UniformBelow(rng, total);
+    size_t chosen_block = blocks;
+    for (size_t b = 0; b < blocks; ++b) {
+      if (chosen_block == blocks) {
+        if (remaining < block_sum[b]) {
+          chosen_block = b;
+        } else {
+          remaining -= block_sum[b];
+        }
+      }
+    }
+    DPX_CHECK_LT(chosen_block, blocks);
+    bool found = false;
+    scanner.ScanBlock(chosen_block, [&](size_t first, const double* scores,
+                                        size_t count) {
+      for (size_t i = 0; i < count; ++i) {
+        const uint64_t w = weight(scores[i]);
+        if (found) continue;
+        if (remaining < w) {
+          found = true;
+          selected = first + i;
+        } else {
+          remaining -= w;
+        }
+      }
+    });
+    DPX_CHECK(found);
   }
 
-  size_t best_worker = 0;
-  for (size_t w = 1; w < workers; ++w) {
-    if (results[w].best_value > results[best_worker].best_value) {
-      best_worker = w;
-    }
-  }
-  const std::vector<size_t>& best = results[best_worker].best_choice;
-  DPX_CHECK(!best.empty());
   AttributeCombination combination(clusters);
   for (size_t c = 0; c < clusters; ++c) {
-    combination[c] = candidate_sets[c][best[c]];
+    combination[c] = candidate_sets[c][selected % candidate_sets[c].size()];
+    selected /= candidate_sets[c].size();
   }
   return combination;
 }
@@ -370,15 +535,10 @@ StatusOr<GlobalExplanation> ExplainDpClustXWithStats(
         core_internal::BuildLowSensitivityTables(stats, candidate_sets,
                                                  options.lambda);
     StatusOr<AttributeCombination> selected =
-        options.num_threads > 1
-            ? core_internal::SearchCombinationParallel(
-                  candidate_sets, tables, options.epsilon_top_comb,
-                  kGlScoreSensitivity, options.max_combinations, rng,
-                  options.num_threads, options.deadline)
-            : core_internal::SearchCombination(
-                  candidate_sets, tables, options.epsilon_top_comb,
-                  kGlScoreSensitivity, options.max_combinations, rng,
-                  options.deadline);
+        core_internal::SearchCombinationParallel(
+            candidate_sets, tables, options.epsilon_top_comb,
+            kGlScoreSensitivity, options.max_combinations, rng,
+            std::max<size_t>(options.num_threads, 1), options.deadline);
     DPX_RETURN_IF_ERROR(selected.status());
     combination = std::move(selected).value();
   }

@@ -58,18 +58,14 @@ struct DpClustXOptions {
   size_t max_combinations = 20000000;
   /// Seed for all mechanism noise in this run.
   uint64_t seed = 1;
-  /// Threads for the Stage-2 combination enumeration (k^|C| grows
-  /// exponentially; the search shards perfectly) and parallelism cap for the
-  /// StatsCache counting pass. 1 = serial. The shard count — not the
-  /// execution width — determines Stage-2's forked noise streams, so this
-  /// value is part of the run's noise seed. The selection distribution is
-  /// identical either way (independent Gumbel draws), but runs with
-  /// different num_threads draw different noise at the same seed. The
-  /// StatsCache build is bitwise-identical at any value.
+  /// Threads for the Stage-2 block sums (k^|C| grows exponentially; the
+  /// blocks split perfectly) and parallelism cap for the StatsCache
+  /// counting pass. 1 = serial. Results are identical at any value: the
+  /// Stage-2 draw and the StatsCache build depend on the seed alone.
   size_t num_threads = 1;
   /// Cooperative cancellation bound for the whole run. Checked between
-  /// Stage-1 clusters, every few thousand Stage-2 combinations, and between
-  /// histogram releases. Default: no deadline. A DeadlineExceeded return
+  /// Stage-1 clusters, once per Stage-2 block (at most 4,096
+  /// combinations), and between histogram releases. Default: no deadline. A DeadlineExceeded return
   /// does NOT refund budget already reserved up front — the accountant may
   /// overstate, never understate, the released ε (see DESIGN.md, failure
   /// semantics).
@@ -120,21 +116,25 @@ CombinationScoreTables BuildLowSensitivityTables(
 
 /// Selects an attribute combination from per-cluster candidate sets
 /// (Algorithm 2, lines 4–5): the exponential mechanism at `epsilon` over the
-/// table-defined score (Gumbel-max implementation), or the exact argmax when
-/// epsilon <= 0 (the non-private TabEE limit). Exposed for the baselines and
-/// tests.
+/// table-defined score, P(AC) ∝ exp(ε·score(AC)/(2Δ)), or the exact argmax
+/// (lowest combination index on ties) when epsilon <= 0 (the non-private
+/// TabEE limit). Exposed for the baselines and tests.
+///
+/// The combinations are scanned in blocks of at most 4,096: a first pass
+/// finds the exact maximum score s*, a second sums each block's weights
+/// exp(ε·(score − s*)/(2Δ)) in fixed point, then one uniform draw over the
+/// total picks a block and a rescan of that block picks the combination.
+/// The work depends only on the candidate-set sizes, and the result only on
+/// the seed — not on the thread count.
 StatusOr<AttributeCombination> SearchCombination(
     const std::vector<std::vector<AttrIndex>>& candidate_sets,
     const CombinationScoreTables& tables, double epsilon, double sensitivity,
     size_t max_combinations, Rng& rng, const Deadline& deadline = {});
 
-/// Multithreaded variant: shards the combination space across
-/// `num_threads` workers, each with an independent noise stream forked from
-/// `rng`. Shards execute on the shared compute pool (ParallelFor); the
-/// shard structure — and thus the noise stream — is fixed by `num_threads`
-/// even when the pool runs them on fewer threads. Exact mode (epsilon <= 0)
-/// returns the same argmax as the serial search; private mode realizes the
-/// same exponential-mechanism distribution with different draws.
+/// The same search with the block passes spread over up to `num_threads`
+/// threads of the shared compute pool (ParallelFor). Returns the same
+/// combination as SearchCombination for the same `rng` state, in private and
+/// exact mode, and leaves `rng` in the same state.
 StatusOr<AttributeCombination> SearchCombinationParallel(
     const std::vector<std::vector<AttrIndex>>& candidate_sets,
     const CombinationScoreTables& tables, double epsilon, double sensitivity,

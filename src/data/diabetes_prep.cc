@@ -1,5 +1,6 @@
 #include "data/diabetes_prep.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <unordered_map>
@@ -52,7 +53,8 @@ std::string Icd9Category(const std::string& code) {
   }
   char* end = nullptr;
   const double value = std::strtod(code.c_str(), &end);
-  if (end == code.c_str()) return "Other";
+  // Out-of-range values ("1e300") would make the int cast undefined.
+  if (end == code.c_str() || !(std::fabs(value) < 1e6)) return "Other";
   const int icd = static_cast<int>(value);
   if (icd == 250) return "Diabetes";  // 250.xx
   if ((icd >= 390 && icd <= 459) || icd == 785) return "Circulatory";

@@ -195,8 +195,12 @@ JsonValue StitchTimeline(const PendingEntry& entry, Clock::time_point replied,
     uint64_t worker_wall = 0;
     if (worker_tree->Has("wall_micros") &&
         worker_tree->at("wall_micros").type() == JsonValue::Type::kNumber) {
-      worker_wall =
-          static_cast<uint64_t>(worker_tree->at("wall_micros").AsNumber());
+      // Worker output is untrusted once a worker has crashed mid-write:
+      // cast only values in range.
+      const double wall = worker_tree->at("wall_micros").AsNumber();
+      if (wall > 0.0 && wall < 0x1.0p63) {
+        worker_wall = static_cast<uint64_t>(wall);
+      }
     }
     const uint64_t queue_wait =
         roundtrip_wall > worker_wall ? roundtrip_wall - worker_wall : 1;
@@ -1189,9 +1193,14 @@ class Router::Impl {
   void RespondTraces(const PendingEntry& entry, const JsonValue& request) {
     size_t limit = 0;
     if (request.Has("limit") &&
-        request.at("limit").type() == JsonValue::Type::kNumber &&
-        request.at("limit").AsNumber() > 0) {
-      limit = static_cast<size_t>(request.at("limit").AsNumber());
+        request.at("limit").type() == JsonValue::Type::kNumber) {
+      // A limit at or beyond the ring size keeps everything, like 0; the
+      // range check also keeps the cast defined for values like 1e20.
+      const double requested = request.at("limit").AsNumber();
+      if (requested > 0 &&
+          requested < static_cast<double>(trace_ring_.size())) {
+        limit = static_cast<size_t>(requested);
+      }
     }
     JsonValue traces = JsonValue::Array();
     size_t start = 0;

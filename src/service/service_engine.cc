@@ -89,7 +89,9 @@ StatusOr<size_t> OptCount(const JsonValue& request, const std::string& key,
                           size_t fallback) {
   DPX_ASSIGN_OR_RETURN(const double value, OptNumber(request, key,
                                                      static_cast<double>(fallback)));
-  if (value < 0.0 || value != static_cast<double>(static_cast<size_t>(value))) {
+  // Range-check before the cast: converting a double at or beyond 2^64
+  // (or NaN) to size_t is undefined behaviour.
+  if (!(value >= 0.0 && value < 0x1.0p64) || value != std::floor(value)) {
     return Status::InvalidArgument("field '" + key +
                                    "' must be a non-negative integer");
   }
@@ -467,7 +469,10 @@ StatusOr<JsonValue> ServiceEngine::DispatchOp(
   }
   Deadline deadline;
   if (deadline_ms > 0.0) {
-    deadline = Deadline::FromStart(start, static_cast<int64_t>(deadline_ms));
+    // Clamped to 10^12 ms (~31 years) so neither the cast to int64_t nor
+    // the time_point arithmetic can overflow.
+    deadline = Deadline::FromStart(
+        start, static_cast<int64_t>(std::min(deadline_ms, 1e12)));
   }
   // Expired while queued: drop before the handler runs (and before any ε
   // could be charged).
@@ -896,21 +901,19 @@ StatusOr<JsonValue> ServiceEngine::OpExplain(const JsonValue& request,
                                options.epsilon_top_comb +
                                options.epsilon_hist;
 
-  // The key covers everything that determines the release bytes (threads
-  // included: the parallel search draws a different — equally distributed —
-  // noise stream than the serial one). Server-seeded requests key on
-  // "seed=auto": identical requests share the first paid-for release.
+  // The key covers everything that determines the release bytes. Threads
+  // do not: the Stage-2 search draws the same combination at any thread
+  // count. Server-seeded requests key on "seed=auto": identical requests
+  // share the first paid-for release.
   char key[320];
   std::snprintf(key, sizeof(key),
                 "ds=%" PRIu64 " ep=%" PRIu64
-                " cl=%s|%s ecs=%.17g etc=%.17g eh=%.17g k=%zu "
-                "seed=%s th=%zu",
+                " cl=%s|%s ecs=%.17g etc=%.17g eh=%.17g k=%zu seed=%s",
                 session->dataset()->uid(), epoch, clustering_id.c_str(),
                 view->fingerprint.c_str(), options.epsilon_cand_set,
                 options.epsilon_top_comb, options.epsilon_hist,
                 options.num_candidates,
-                pinned_seed ? std::to_string(seed).c_str() : "auto",
-                options.num_threads);
+                pinned_seed ? std::to_string(seed).c_str() : "auto");
 
   JsonValue body;
   bool cache_hit = false;

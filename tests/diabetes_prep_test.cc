@@ -30,6 +30,8 @@ TEST(Icd9CategoryTest, SupplementaryAndMissingCodesMapToOther) {
   EXPECT_EQ(Icd9Category("?"), "Other");
   EXPECT_EQ(Icd9Category(""), "Other");
   EXPECT_EQ(Icd9Category("365"), "Other");  // outside listed ranges
+  EXPECT_EQ(Icd9Category("1e300"), "Other");  // beyond int: no cast
+  EXPECT_EQ(Icd9Category("-1e20"), "Other");
 }
 
 TEST(Icd9CategoryTest, AllOutputsAreInTheFixedDomain) {

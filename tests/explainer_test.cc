@@ -1,6 +1,8 @@
 #include "core/explainer.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -319,6 +321,293 @@ TEST(SearchCombinationTest, ValidatesShapes) {
                    .ok());
   EXPECT_FALSE(
       core_internal::SearchCombination({}, {}, 0.0, 1.0, 1000, rng).ok());
+}
+
+// ---- Stage-2 sampler against the closed-form exponential mechanism ------
+
+// Candidate sets {0..k_c-1}, so a selected combination reads as its choices.
+std::vector<std::vector<AttrIndex>> IdentitySets(
+    const std::vector<size_t>& sizes) {
+  std::vector<std::vector<AttrIndex>> sets(sizes.size());
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    for (size_t j = 0; j < sizes[c]; ++j) {
+      sets[c].push_back(static_cast<AttrIndex>(j));
+    }
+  }
+  return sets;
+}
+
+// Unary terms uniform in [0, unary), pair terms (for every pair, when
+// `pair` > 0) uniform in [0, pair).
+core_internal::CombinationScoreTables RandomTables(
+    const std::vector<size_t>& sizes, double unary, double pair,
+    uint64_t seed) {
+  Rng rng(seed);
+  core_internal::CombinationScoreTables tables;
+  for (const size_t k : sizes) {
+    tables.unary.emplace_back(k);
+    for (double& v : tables.unary.back()) v = unary * rng.UniformDouble();
+  }
+  if (pair <= 0.0) return tables;
+  tables.pair.resize(sizes.size());
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    tables.pair[c].resize(sizes.size());
+    for (size_t cp = c + 1; cp < sizes.size(); ++cp) {
+      tables.pair[c][cp].resize(sizes[c] * sizes[cp]);
+      for (double& v : tables.pair[c][cp]) v = pair * rng.UniformDouble();
+    }
+  }
+  return tables;
+}
+
+// Choices of combination `index`, cluster 0 least significant.
+std::vector<size_t> Decode(size_t index, const std::vector<size_t>& sizes) {
+  std::vector<size_t> choice(sizes.size());
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    choice[c] = index % sizes[c];
+    index /= sizes[c];
+  }
+  return choice;
+}
+
+size_t Encode(const AttributeCombination& combo,
+              const std::vector<size_t>& sizes) {
+  size_t index = 0;
+  for (size_t c = sizes.size(); c-- > 0;) index = index * sizes[c] + combo[c];
+  return index;
+}
+
+// Every combination's score, summed term by term.
+std::vector<double> BruteForceScores(
+    const core_internal::CombinationScoreTables& tables,
+    const std::vector<size_t>& sizes) {
+  size_t total = 1;
+  for (const size_t k : sizes) total *= k;
+  std::vector<double> scores(total, 0.0);
+  for (size_t i = 0; i < total; ++i) {
+    const std::vector<size_t> choice = Decode(i, sizes);
+    for (size_t c = 0; c < sizes.size(); ++c) {
+      scores[i] += tables.unary[c][choice[c]];
+      for (size_t cp = c + 1; cp < sizes.size() && !tables.pair.empty();
+           ++cp) {
+        scores[i] += tables.pair[c][cp][choice[c] * sizes[cp] + choice[cp]];
+      }
+    }
+  }
+  return scores;
+}
+
+// Closed-form exponential mechanism: P(i) ∝ exp(ε·score_i / (2Δ)), Δ = 1.
+std::vector<double> Softmax(const std::vector<double>& scores,
+                            double epsilon) {
+  const double top = *std::max_element(scores.begin(), scores.end());
+  std::vector<double> p(scores.size());
+  double total = 0.0;
+  for (size_t i = 0; i < scores.size(); ++i) {
+    p[i] = std::exp(epsilon / 2.0 * (scores[i] - top));
+    total += p[i];
+  }
+  for (double& v : p) v /= total;
+  return p;
+}
+
+double ChiSquare(const std::vector<size_t>& counts,
+                 const std::vector<double>& probabilities, size_t samples) {
+  double statistic = 0.0;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    const double expected = probabilities[i] * static_cast<double>(samples);
+    const double diff = static_cast<double>(counts[i]) - expected;
+    statistic += diff * diff / expected;
+  }
+  return statistic;
+}
+
+// Draws `samples` selections and tallies them into categories by
+// category_of(combination index); returns the chi-square statistic against
+// the closed-form distribution aggregated the same way.
+template <typename CategoryFn>
+double SelectionChiSquare(const std::vector<size_t>& sizes,
+                          const core_internal::CombinationScoreTables& tables,
+                          double epsilon, size_t threads, size_t samples,
+                          size_t categories, CategoryFn category_of) {
+  const std::vector<double> exact =
+      Softmax(BruteForceScores(tables, sizes), epsilon);
+  std::vector<double> expected(categories, 0.0);
+  for (size_t i = 0; i < exact.size(); ++i) {
+    expected[category_of(i)] += exact[i];
+  }
+  const auto sets = IdentitySets(sizes);
+  std::vector<size_t> counts(categories, 0);
+  Rng rng(2024);
+  for (size_t s = 0; s < samples; ++s) {
+    const auto combo = core_internal::SearchCombinationParallel(
+        sets, tables, epsilon, 1.0, 1 << 20, rng, threads);
+    EXPECT_TRUE(combo.ok()) << combo.status();
+    if (!combo.ok()) return 1e300;
+    ++counts[category_of(Encode(*combo, sizes))];
+  }
+  return ChiSquare(counts, expected, samples);
+}
+
+TEST(SearchCombinationTest, MatchesSoftmaxOnUnevenSpaces) {
+  // {2,3,4}: 24 combinations, df = 23; 49.73 is the p = 0.001 critical value.
+  const std::vector<size_t> sizes = {2, 3, 4};
+  for (const double pair : {0.0, 0.8}) {
+    const auto tables = RandomTables(sizes, 2.0, pair, 11);
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      const double chi2 = SelectionChiSquare(
+          sizes, tables, /*epsilon=*/1.5, threads, 20000, 24,
+          [](size_t index) { return index; });
+      EXPECT_LT(chi2, 49.73) << "pair=" << pair << " threads=" << threads;
+    }
+  }
+}
+
+TEST(SearchCombinationTest, MultiBlockSelectionMatchesSoftmax) {
+  // 4^7 = 16,384 combinations span four 4,096-combination blocks, one per
+  // choice of the outermost cluster. The joint of the outermost choice (the
+  // block) and cluster 0 (within the block) has 16 cells, df = 15; 37.70 is
+  // the p = 0.001 critical value.
+  const std::vector<size_t> sizes(7, 4);
+  const auto tables = RandomTables(sizes, 1.0, 0.2, 12);
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    const double chi2 = SelectionChiSquare(
+        sizes, tables, /*epsilon=*/1.0, threads, 4000, 16,
+        [](size_t index) { return (index % 4) * 4 + index / 4096; });
+    EXPECT_LT(chi2, 37.70) << "threads=" << threads;
+  }
+}
+
+TEST(SearchCombinationTest, ExactModeMatchesBruteForceArgmax) {
+  const std::vector<std::vector<size_t>> shapes = {
+      {1}, {5}, {3, 1, 2}, {2, 3, 4}, {4, 4, 4, 4, 4, 4, 4}, {70, 70, 2}};
+  uint64_t seed = 30;
+  for (const auto& sizes : shapes) {
+    for (const double pair : {0.0, 0.5}) {
+      const auto tables = RandomTables(sizes, 1.0, pair, ++seed);
+      const std::vector<double> scores = BruteForceScores(tables, sizes);
+      const size_t argmax = static_cast<size_t>(
+          std::max_element(scores.begin(), scores.end()) - scores.begin());
+      for (const size_t threads : {size_t{1}, size_t{3}}) {
+        Rng rng(1);
+        const auto combo = core_internal::SearchCombinationParallel(
+            IdentitySets(sizes), tables, 0.0, 1.0, 1 << 20, rng, threads);
+        ASSERT_TRUE(combo.ok()) << combo.status();
+        EXPECT_EQ(Encode(*combo, sizes), argmax)
+            << "shape of " << sizes.size() << " clusters, pair=" << pair;
+      }
+    }
+  }
+}
+
+TEST(SearchCombinationTest, ExactModeBreaksTiesTowardLowestIndex) {
+  const std::vector<size_t> sizes(6, 5);
+  core_internal::CombinationScoreTables tables;
+  tables.unary.assign(6, std::vector<double>(5, 0.25));
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    Rng rng(1);
+    const auto combo = core_internal::SearchCombinationParallel(
+        IdentitySets(sizes), tables, 0.0, 1.0, 1 << 20, rng, threads);
+    ASSERT_TRUE(combo.ok());
+    EXPECT_EQ(Encode(*combo, sizes), 0u);
+  }
+}
+
+TEST(SearchCombinationTest, HugeEpsilonReturnsExactArgmax) {
+  // Count-scale scores whose per-table maxima cannot be chosen together:
+  // every cluster's unary favours candidate 0, every pair table rewards
+  // (1, 1) and punishes (0, 0), so the best combination scores far below
+  // the sum of the table maxima. At ε = 1e4 every other combination's
+  // weight underflows; normalizing by anything but the exact maximum would
+  // underflow the winner too.
+  const std::vector<size_t> sizes = {3, 2, 3, 2, 3};
+  core_internal::CombinationScoreTables tables;
+  tables.pair.resize(sizes.size());
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    tables.unary.emplace_back(sizes[c], 0.0);
+    tables.unary[c][0] = 5000.0 + 17.0 * static_cast<double>(c);
+    tables.unary[c][1] = 900.0 * static_cast<double>(c % 2);
+    tables.pair[c].resize(sizes.size());
+    for (size_t cp = c + 1; cp < sizes.size(); ++cp) {
+      auto& m = tables.pair[c][cp];
+      m.assign(sizes[c] * sizes[cp], 250.0);
+      m[0] = -20000.0;                  // (0, 0)
+      m[1 * sizes[cp] + 1] = 1400.0;    // (1, 1)
+    }
+  }
+  const std::vector<double> scores = BruteForceScores(tables, sizes);
+  const size_t argmax = static_cast<size_t>(
+      std::max_element(scores.begin(), scores.end()) - scores.begin());
+  std::vector<double> sorted = scores;
+  std::sort(sorted.rbegin(), sorted.rend());
+  ASSERT_GT(sorted[0] - sorted[1], 1.0);  // unique winner
+  double table_maxima = 0.0;
+  for (const auto& row : tables.unary) {
+    table_maxima += *std::max_element(row.begin(), row.end());
+  }
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    for (size_t cp = c + 1; cp < sizes.size(); ++cp) {
+      table_maxima += *std::max_element(tables.pair[c][cp].begin(),
+                                        tables.pair[c][cp].end());
+    }
+  }
+  ASSERT_GT(table_maxima - sorted[0], 1000.0);  // maxima are incompatible
+  const auto sets = IdentitySets(sizes);
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      Rng rng(seed);
+      const auto combo = core_internal::SearchCombinationParallel(
+          sets, tables, /*epsilon=*/1e4, 1.0, 1 << 20, rng, threads);
+      ASSERT_TRUE(combo.ok()) << combo.status();
+      EXPECT_EQ(Encode(*combo, sizes), argmax) << "seed " << seed;
+    }
+  }
+}
+
+TEST(SearchCombinationTest, TinyEpsilonIsNearUniform) {
+  // ε = 1e-9 flattens the weights: a uniform fit over 24 cells (df = 23).
+  const std::vector<size_t> sizes = {4, 3, 2};
+  const auto tables = RandomTables(sizes, 5.0, 2.0, 13);
+  const auto sets = IdentitySets(sizes);
+  std::vector<size_t> counts(24, 0);
+  Rng rng(77);
+  constexpr size_t kSamples = 24000;
+  for (size_t s = 0; s < kSamples; ++s) {
+    const auto combo = core_internal::SearchCombination(
+        sets, tables, /*epsilon=*/1e-9, 1.0, 1000, rng);
+    ASSERT_TRUE(combo.ok());
+    ++counts[Encode(*combo, sizes)];
+  }
+  EXPECT_LT(ChiSquare(counts, std::vector<double>(24, 1.0 / 24), kSamples),
+            49.73);
+}
+
+TEST(SearchCombinationTest, RejectsNonFiniteScoresAndScale) {
+  const std::vector<std::vector<AttrIndex>> sets = {{0, 1}, {2, 3}};
+  core_internal::CombinationScoreTables tables;
+  tables.unary = {{0.0, 1.0}, {0.5, 0.25}};
+  Rng rng(1);
+  EXPECT_TRUE(
+      core_internal::SearchCombination(sets, tables, 1.0, 1.0, 100, rng).ok());
+  EXPECT_FALSE(core_internal::SearchCombination(
+                   sets, tables, std::numeric_limits<double>::infinity(), 1.0,
+                   100, rng)
+                   .ok());
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 1e308}) {
+    auto broken = tables;
+    broken.unary[1][0] = bad;
+    EXPECT_FALSE(
+        core_internal::SearchCombination(sets, broken, 1.0, 1.0, 100, rng)
+            .ok())
+        << bad;
+  }
+  auto mismatched = tables;
+  mismatched.pair.assign(2, std::vector<std::vector<double>>(2));
+  mismatched.pair[0][1] = {1.0, 2.0, 3.0};  // needs 2 × 2
+  EXPECT_FALSE(
+      core_internal::SearchCombination(sets, mismatched, 1.0, 1.0, 100, rng)
+          .ok());
 }
 
 }  // namespace

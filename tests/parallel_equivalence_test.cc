@@ -3,8 +3,9 @@
 // The determinism contract (common/thread_pool.h): ParallelFor's chunk
 // structure is a pure function of (n, grain), so chunk-merged results are
 // bit-identical at any parallelism. These tests pin the contract for the
-// primitives (ParallelFor itself), the fused StatsCache build, and the
-// clustering kernels (k-means, k-modes, GMM).
+// primitives (ParallelFor itself), the fused StatsCache build, the
+// clustering kernels (k-means, k-modes, GMM) and the Stage-2 combination
+// search, whose private draw is a function of the seed alone.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "cluster/kmeans.h"
 #include "cluster/kmodes.h"
 #include "common/thread_pool.h"
+#include "core/explainer.h"
 #include "core/stats_cache.h"
 #include "data/kernels/isa.h"
 #include "data/synthetic.h"
@@ -351,6 +353,72 @@ TEST(ClusteringParallelTest, FitsInvariantAcrossIsaLevelsAndThreadCounts) {
               << kernels::IsaLevelName(level) << " threads " << threads;
         }
       }
+    }
+  }
+}
+
+TEST(StageTwoParallelTest, PrivateSelectionIdenticalAcrossThreadCounts) {
+  // 5·4·3·5·4·3·5·4 = 72,000 combinations with pair terms: 18 blocks.
+  const std::vector<size_t> sizes = {5, 4, 3, 5, 4, 3, 5, 4};
+  Rng table_rng(9);
+  std::vector<std::vector<AttrIndex>> sets(sizes.size());
+  core_internal::CombinationScoreTables tables;
+  tables.unary.resize(sizes.size());
+  tables.pair.resize(sizes.size());
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    for (size_t j = 0; j < sizes[c]; ++j) {
+      sets[c].push_back(static_cast<AttrIndex>(10 * c + j));
+      tables.unary[c].push_back(table_rng.UniformDouble());
+    }
+    tables.pair[c].resize(sizes.size());
+    for (size_t cp = c + 1; cp < sizes.size(); ++cp) {
+      tables.pair[c][cp].resize(sizes[c] * sizes[cp]);
+      for (double& v : tables.pair[c][cp]) v = 0.3 * table_rng.UniformDouble();
+    }
+  }
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng reference_rng(seed);
+    const auto reference = core_internal::SearchCombination(
+        sets, tables, /*epsilon=*/4.0, 1.0, 1 << 20, reference_rng);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    const uint64_t reference_next = reference_rng.engine()();
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{8},
+                           size_t{64}}) {
+      Rng rng(seed);
+      const auto combo = core_internal::SearchCombinationParallel(
+          sets, tables, 4.0, 1.0, 1 << 20, rng, threads);
+      ASSERT_TRUE(combo.ok()) << combo.status();
+      EXPECT_EQ(*combo, *reference) << "seed " << seed << " threads "
+                                    << threads;
+      // The search leaves the stream where the serial search does.
+      EXPECT_EQ(rng.engine()(), reference_next)
+          << "seed " << seed << " threads " << threads;
+    }
+  }
+}
+
+TEST(StageTwoParallelTest, ExplanationIdenticalAcrossThreadCounts) {
+  const Dataset dataset = TestDataset(5000);
+  const size_t num_clusters = 5;
+  const auto stats = StatsCache::Build(
+      dataset, CyclicLabels(dataset.num_rows(), num_clusters), num_clusters);
+  ASSERT_TRUE(stats.ok());
+  DpClustXOptions options;
+  options.num_candidates = 6;  // 6^5 = 7,776 combinations: two blocks
+  options.seed = 17;
+  const auto reference = ExplainDpClustXWithStats(*stats, options);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  for (size_t threads : {size_t{2}, size_t{3}, size_t{8}}) {
+    options.num_threads = threads;
+    const auto explanation = ExplainDpClustXWithStats(*stats, options);
+    ASSERT_TRUE(explanation.ok()) << explanation.status();
+    EXPECT_EQ(explanation->combination, reference->combination)
+        << "threads " << threads;
+    ASSERT_EQ(explanation->per_cluster.size(), reference->per_cluster.size());
+    for (size_t c = 0; c < num_clusters; ++c) {
+      EXPECT_EQ(explanation->per_cluster[c].inside.bins(),
+                reference->per_cluster[c].inside.bins())
+          << "cluster " << c << " threads " << threads;
     }
   }
 }

@@ -693,6 +693,11 @@ TEST(RouterE2eTest, TracedExplainReturnsOneStitchedTimeline) {
   EXPECT_EQ(entry.at("tid").AsString(), tid);
   EXPECT_EQ(entry.at("op").AsString(), "explain");
   EXPECT_EQ(entry.at("trace").at("name").AsString(), "router_request");
+  // A limit beyond the ring keeps everything (and is never cast as-is).
+  const JsonValue all = router.Call(
+      "e6", R"({"op":"trace","limit":1e20,"id":"e6"})");
+  ExpectOk(all);
+  EXPECT_GE(all.at("traces").size(), 1u) << all.Dump();
 }
 
 TEST(RouterE2eTest, WorkerDeathMidRequestYieldsPartialTimeline) {

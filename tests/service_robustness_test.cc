@@ -241,6 +241,34 @@ TEST(ServiceRobustnessTest, HostileInputsGetStructuredErrors) {
   ExpectOk(Call(engine, R"({"op":"ping"})"));
 }
 
+// Count fields at or beyond 2^64 are rejected before any cast to size_t
+// (which would be undefined behaviour, caught by the sanitizer build's
+// float-cast-overflow check), and charge nothing.
+TEST(ServiceRobustnessTest, HugeCountFieldsAreRejectedNotCast) {
+  ServiceEngine engine;
+  SetUpSession(engine, "alice", /*epsilon=*/1.0);
+  for (const std::string huge : {"1e20", "1e300"}) {
+    ExpectError(Call(engine, R"({"op":"explain","session":"alice",)"
+                             R"("epsilon":0.3,"threads":)" + huge + "}"),
+                "InvalidArgument");
+    ExpectError(Call(engine, R"({"op":"explain","session":"alice",)"
+                             R"("epsilon":0.3,"num_candidates":)" +
+                                 huge + "}"),
+                "InvalidArgument");
+    ExpectError(Call(engine, R"({"op":"cluster","dataset":"d",)"
+                             R"("method":"k-means","k":)" + huge + "}"),
+                "InvalidArgument");
+    ExpectError(Call(engine, R"({"op":"trace","limit":)" + huge + "}"),
+                "InvalidArgument");
+    ExpectError(Call(engine, R"({"op":"audit","limit":)" + huge + "}"),
+                "InvalidArgument");
+    // A huge deadline is clamped, not cast as-is.
+    ExpectOk(Call(engine, R"({"op":"ping","deadline_ms":)" + huge + "}"));
+  }
+  EXPECT_EQ(SpentEpsilon(engine, "alice"), 0.0);
+  ExpectOk(Call(engine, R"({"op":"ping"})"));
+}
+
 // Oversized payloads are rejected before the parser touches them.
 TEST(ServiceRobustnessTest, OversizedPayloadRejectedBeforeParse) {
   ServiceEngineOptions options;

@@ -137,6 +137,42 @@ TEST(ServiceTest, CacheHitIsByteIdenticalAndFree) {
   EXPECT_NEAR(third.at("epsilon_remaining").AsNumber(), 0.4, 1e-12);
 }
 
+// The release does not depend on the Stage-2 thread count, so "threads" is
+// not part of the release-cache key: the same pinned-seed explain at
+// threads 1 and then 4 is one release, one charge.
+TEST(ServiceTest, ThreadCountSharesTheCachedRelease) {
+  const std::string base =
+      R"({"op":"explain","session":"alice","epsilon":0.3,"seed":11,)"
+      R"("num_candidates":4,"threads":)";
+  ServiceEngine engine(DebugNoise());
+  SetUpDataset(engine);
+  ExpectOk(Call(engine, R"({"op":"create_session","session":"alice",)"
+                        R"("dataset":"d","epsilon":1.0})"));
+  const JsonValue serial = Call(engine, base + "1}");
+  ExpectOk(serial);
+  ASSERT_FALSE(serial.at("cache_hit").AsBool());
+  const JsonValue parallel = Call(engine, base + "4}");
+  ExpectOk(parallel);
+  EXPECT_TRUE(parallel.at("cache_hit").AsBool());
+  EXPECT_EQ(parallel.at("explanation").Dump(), serial.at("explanation").Dump());
+  EXPECT_EQ(parallel.at("epsilon_charged").AsNumber(), 0.0);
+  const JsonValue budget =
+      Call(engine, R"({"op":"budget","session":"alice"})");
+  EXPECT_NEAR(budget.at("spent").AsNumber(), 0.3, 1e-12);
+  EXPECT_EQ(budget.at("ledger").size(), 1u);
+
+  // Computed afresh at 4 threads, the release is the same bytes.
+  ServiceEngine fresh(DebugNoise());
+  SetUpDataset(fresh);
+  ExpectOk(Call(fresh, R"({"op":"create_session","session":"alice",)"
+                       R"("dataset":"d","epsilon":1.0})"));
+  const JsonValue recomputed = Call(fresh, base + "4}");
+  ExpectOk(recomputed);
+  ASSERT_FALSE(recomputed.at("cache_hit").AsBool());
+  EXPECT_EQ(recomputed.at("explanation").Dump(),
+            serial.at("explanation").Dump());
+}
+
 TEST(ServiceTest, ExhaustedSessionGetsCleanOutOfBudget) {
   ServiceEngine engine(DebugNoise());
   SetUpDataset(engine);
