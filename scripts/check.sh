@@ -21,10 +21,11 @@
 # --worker-listen-base port, exposition checked line by line). The
 # width-dispatched data-plane kernels run in both sanitizer passes
 # (dataset_layout_test); the transport event loop and its e2e socket
-# tests run under TSan (transport_test), as do the router e2e tests
-# (router_test) against the TSan-built router and serve binaries that the
-# same build produces — the router runs everything on the transport's one
-# event loop, and TSan checks that claim; the zero-reparse relay
+# tests run under TSan (transport_test), as do the router and serve e2e
+# tests (router_test, serve_test) against the TSan-built router and serve
+# binaries that the same build produces — both run everything on the
+# transport's one event loop (serve's pool threads hand responses to it),
+# and TSan checks that claim; the zero-reparse relay
 # scanner runs under ASan (json_relay_test) — worker output is untrusted
 # once a worker has crashed mid-write.
 #
@@ -37,27 +38,19 @@
 # dispatch clamped to generic (the in-test ScopedForceIsa sweep still
 # raises to every supported level from there).
 #
-# The bench binaries get a compile-only smoke build with -march=native
-# (DPCLUSTX_NATIVE — now largely redundant next to the per-ISA kernel TUs,
-# kept for whole-program codegen A/B) so codegen regressions in the tile
-# kernels surface before a benchmark run does.
-#
-# Usage: scripts/check.sh [--skip-tsan] [--skip-asan] [--skip-native]
+# Usage: scripts/check.sh [--skip-tsan] [--skip-asan]
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SKIP_TSAN=0
 SKIP_ASAN=0
-SKIP_NATIVE=0
 for arg in "$@"; do
   case "$arg" in
     --skip-tsan) SKIP_TSAN=1 ;;
     --skip-asan) SKIP_ASAN=1 ;;
-    --skip-native) SKIP_NATIVE=1 ;;
     *) echo "unknown flag '$arg'" \
-            "(usage: scripts/check.sh [--skip-tsan] [--skip-asan]" \
-            "[--skip-native])" >&2
+            "(usage: scripts/check.sh [--skip-tsan] [--skip-asan])" >&2
        exit 2 ;;
   esac
 done
@@ -370,7 +363,7 @@ else
   cmake --build build-tsan -j --target \
     thread_pool_test service_test privacy_budget_test eda_session_test \
     parallel_equivalence_test dataset_layout_test obs_test \
-    transport_test router_test explainer_test \
+    transport_test router_test serve_test explainer_test \
     >/dev/null
   # DPCLUSTX_THREADS=8 widens the shared compute pool so the ParallelFor
   # kernels (StatsCache counting, clustering, the Stage-2 block sums in
@@ -379,24 +372,11 @@ else
   # transport_test races the epoll loop against concurrent ClientChannel
   # threads (and forks the TSan-built router for the socket e2e cases);
   # router_test forks the TSan-built router over pipes, kills and stops
-  # its workers, and asserts the router stays on at most two threads.
+  # its workers, and asserts the router stays on at most two threads;
+  # serve_test forks the TSan-built serve with stdin and socket clients.
   (cd build-tsan &&
    DPCLUSTX_THREADS=8 ctest --output-on-failure \
-     -R '^(thread_pool_test|service_test|privacy_budget_test|eda_session_test|parallel_equivalence_test|dataset_layout_test|obs_test|transport_test|router_test|explainer_test)$')
-fi
-
-if [[ "$SKIP_NATIVE" == 1 ]]; then
-  echo "==> -march=native bench smoke skipped (--skip-native)"
-else
-  # DPCLUSTX_NATIVE is largely redundant now that the hot kernels dispatch
-  # per-ISA at runtime; the smoke stays as an A/B codegen check (CMake
-  # prints the redundancy warning on configure).
-  echo "==> -march=native bench smoke (compile-only)"
-  cmake -B build-native -S . -DDPCLUSTX_NATIVE=ON 2>/dev/null >/dev/null
-  cmake --build build-native -j --target \
-    bench_data_plane bench_parallel_scaling bench_scale_large_dataset \
-    >/dev/null
-  echo "    built bench targets with -march=native"
+     -R '^(thread_pool_test|service_test|privacy_budget_test|eda_session_test|parallel_equivalence_test|dataset_layout_test|obs_test|transport_test|router_test|serve_test|explainer_test)$')
 fi
 
 echo "==> all checks passed"

@@ -31,8 +31,8 @@ namespace {
 constexpr uint64_t kWakeTag = 0;
 constexpr uint64_t kWriteSideTag = uint64_t{1} << 63;
 
-/// The Transport whose loop runs on this thread, if any: Send() from the
-/// loop thread needs no eventfd wake, and Stop() from it must not join.
+/// The Transport whose loop runs on this thread, if any: Send() and Stop()
+/// from the loop thread need no eventfd wake.
 thread_local const Transport* current_loop = nullptr;
 
 Status Errno(const std::string& what) {
@@ -263,14 +263,13 @@ Transport::Transport(TransportOptions options) : options_(options) {
 }
 
 Transport::~Transport() {
-  Stop();
   CloseAll();
   ::close(wake_fd_);
   ::close(epoll_fd_);
 }
 
 Status Transport::Listen(const std::string& spec) {
-  DPX_CHECK(!running_) << "Listen must precede Start";
+  DPX_CHECK(state_ == State::kIdle) << "Listen must precede Run";
   DPX_ASSIGN_OR_RETURN(ListenAddress addr, ParseListenAddress(spec));
   auto listener = std::make_unique<Listener>();
   listener->addr = addr;
@@ -299,7 +298,7 @@ uint16_t Transport::BoundPort(size_t index) const {
 }
 
 void Transport::SetHttpHandler(HttpHandler handler) {
-  DPX_CHECK(!running_) << "SetHttpHandler must precede Start";
+  DPX_CHECK(state_ == State::kIdle) << "SetHttpHandler must precede Run";
   http_handler_ = std::move(handler);
 }
 
@@ -350,24 +349,15 @@ void Transport::RunAfter(int64_t delay_ms, std::function<void()> fn) {
 
 void Transport::Run(FrameHandler on_frame) {
   on_frame_ = std::move(on_frame);
-  running_ = true;
+  // A Stop() that landed first wins: the loop closes everything at once.
+  State idle = State::kIdle;
+  state_.compare_exchange_strong(idle, State::kRunning);
   EventLoop();
 }
 
-Status Transport::Start(FrameHandler on_frame) {
-  DPX_CHECK(!running_) << "Transport already started";
-  DPX_CHECK(!listeners_.empty()) << "Start requires a successful Listen";
-  on_frame_ = std::move(on_frame);
-  running_ = true;
-  loop_ = std::thread([this] { EventLoop(); });
-  return Status::OK();
-}
-
 void Transport::Stop() {
-  running_ = false;
-  if (current_loop == this) return;  // EventLoop unwinds after the callback
-  Wake();
-  if (loop_.joinable()) loop_.join();
+  state_ = State::kStopped;
+  if (current_loop != this) Wake();  // the loop re-checks state_
 }
 
 bool Transport::Send(ConnId id, const std::string& line) {
@@ -424,7 +414,7 @@ int Transport::NextTimeoutMs() const {
 
 void Transport::RunDueTimers() {
   const auto now = std::chrono::steady_clock::now();
-  while (running_ && !timers_.empty() && timers_.front().due <= now) {
+  while (running() && !timers_.empty() && timers_.front().due <= now) {
     std::pop_heap(timers_.begin(), timers_.end(), std::greater<>{});
     std::function<void()> fn = std::move(timers_.back().fn);
     timers_.pop_back();
@@ -462,18 +452,18 @@ void Transport::EventLoop() {
   current_loop = this;
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
-  while (running_) {
+  while (running()) {
     RunDueTimers();
     FlushDirty();
     closed_.clear();
-    if (!running_) break;
+    if (!running()) break;
     const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, NextTimeoutMs());
     if (n < 0) {
       if (errno == EINTR) continue;
       std::fprintf(stderr, "[transport] epoll_wait: %s\n", ::strerror(errno));
       break;
     }
-    for (int i = 0; i < n && running_; ++i) {
+    for (int i = 0; i < n && running(); ++i) {
       const uint64_t tag = events[i].data.u64;
       if (tag == kWakeTag) {
         uint64_t drained;
@@ -509,7 +499,7 @@ void Transport::EventLoop() {
         HandleReadable(*conn);
       }
     }
-    for (size_t i = 0; i < unpolled_readers_.size() && running_;) {
+    for (size_t i = 0; i < unpolled_readers_.size() && running();) {
       Conn* conn = Find(unpolled_readers_[i]);
       if (conn == nullptr || conn->read_eof) {
         unpolled_readers_.erase(unpolled_readers_.begin() + i);

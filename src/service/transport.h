@@ -35,13 +35,15 @@
 //
 // Threading: one event-loop thread owns every fd — listeners, accepted
 // sockets, adopted fd pairs — and every timer. Run() serves on the calling
-// thread; Start() runs the same loop on a new thread. OnFrame, adopted
-// frame/EOF handlers, timers and the HTTP handler all run on the loop
-// thread and must be quick (classify + hand off, never wait). Send(),
-// QueuedBytes() and ActiveConnections() are thread-safe (conns_mutex_): a
-// Send from another thread wakes the loop through an eventfd, one from the
-// loop thread just marks the connection for the flush that follows the
-// current callback. Everything else is loop-thread-only once the loop runs.
+// thread: both front doors call it from main, and the transport starts no
+// thread of its own. OnFrame, adopted frame/EOF handlers, timers and the
+// HTTP handler all run on the loop thread and must be quick (classify +
+// hand off, never wait). Send(), QueuedBytes(), ActiveConnections() and
+// Stop() are thread-safe (conns_mutex_ / an atomic state): a Send from
+// another thread — dpclustx_serve's engine pool completing a request —
+// wakes the loop through an eventfd, one from the loop thread just marks
+// the connection for the flush that follows the current callback.
+// Everything else is loop-thread-only once the loop runs.
 // Send to a connection that has closed returns false and the response is
 // counted dropped (dpclustx_transport_dropped_responses_total).
 //
@@ -79,7 +81,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -183,16 +184,13 @@ class Transport {
   void RunAfter(int64_t delay_ms, std::function<void()> fn);
 
   /// Serves on the calling thread until Stop(); on return every connection
-  /// and listener is closed.
+  /// and listener is closed. Runs at most once per Transport.
   void Run(FrameHandler on_frame);
 
-  /// Run() on a new thread. Listen must have succeeded at least once.
-  Status Start(FrameHandler on_frame);
-
-  /// Ends the loop. From the loop thread it returns at once and Run()
-  /// unwinds after the current callback; from any other thread it wakes
-  /// the loop and joins the Start() thread. Queued responses not yet
-  /// flushed are dropped (and counted).
+  /// Thread-safe. Ends the loop: Run() unwinds after the current callback
+  /// (from another thread, Stop wakes the loop; whoever started that thread
+  /// joins it). A Stop before Run makes Run return at once. Queued
+  /// responses not yet flushed are dropped (and counted).
   void Stop();
 
   /// Thread-safe. Queues `line` (+'\n') for `conn`. False when the
@@ -261,10 +259,11 @@ class Transport {
   std::vector<Timer> timers_;  // min-heap on (due, seq): std::greater<>
   uint64_t timer_seq_ = 0;
 
-  std::thread loop_;
-  // Cleared by Stop() from any thread; the loop re-checks it after every
-  // callback.
-  std::atomic<bool> running_{false};
+  // kIdle until Run(); set to kStopped by Stop() from any thread. The loop
+  // re-checks it after every callback.
+  enum class State { kIdle, kRunning, kStopped };
+  std::atomic<State> state_{State::kIdle};
+  bool running() const { return state_ == State::kRunning; }
 
   // Metrics (process registry; names in DESIGN.md §14).
   obs::Counter* connections_total_ = nullptr;

@@ -74,6 +74,27 @@ TEST(ParseListenAddressTest, Rejections) {
   EXPECT_FALSE(ParseListenAddress("tcp:70000").ok());
 }
 
+/// Runs `transport`'s loop on a thread the test owns; stops and joins it on
+/// scope exit (declare it after the transport).
+class LoopThread {
+ public:
+  LoopThread(Transport& transport, Transport::FrameHandler on_frame)
+      : transport_(transport),
+        thread_([&transport, on_frame = std::move(on_frame)]() mutable {
+          transport.Run(std::move(on_frame));
+        }) {}
+  LoopThread(const LoopThread&) = delete;
+  LoopThread& operator=(const LoopThread&) = delete;
+  ~LoopThread() {
+    transport_.Stop();
+    thread_.join();
+  }
+
+ private:
+  Transport& transport_;
+  std::thread thread_;
+};
+
 /// Transport bound to a fresh unix socket whose handler echoes each frame
 /// prefixed with "echo:". Stops on destruction.
 class EchoFixture {
@@ -84,15 +105,15 @@ class EchoFixture {
     transport_ = std::make_unique<Transport>(options);
     Status listen = transport_->Listen("unix:" + path_);
     EXPECT_TRUE(listen.ok()) << listen.ToString();
-    Status start = transport_->Start([this](ConnId conn, std::string&& line) {
-      frames_handled_.fetch_add(1);
-      transport_->Send(conn, "echo:" + line);
-    });
-    EXPECT_TRUE(start.ok()) << start.ToString();
+    loop_ = std::make_unique<LoopThread>(
+        *transport_, [this](ConnId conn, std::string&& line) {
+          frames_handled_.fetch_add(1);
+          transport_->Send(conn, "echo:" + line);
+        });
   }
 
   ~EchoFixture() {
-    transport_->Stop();
+    loop_.reset();
     ::unlink(path_.c_str());
   }
 
@@ -103,6 +124,7 @@ class EchoFixture {
  private:
   std::string path_;
   std::unique_ptr<Transport> transport_;
+  std::unique_ptr<LoopThread> loop_;
   std::atomic<size_t> frames_handled_{0};
 };
 
@@ -234,9 +256,9 @@ TEST(TransportTest, TcpListenerOnEphemeralPort) {
   ASSERT_TRUE(transport.Listen("tcp:127.0.0.1:0").ok());
   const uint16_t port = transport.BoundPort(0);
   ASSERT_GT(port, 0);
-  ASSERT_TRUE(transport.Start([&](ConnId conn, std::string&& line) {
+  LoopThread loop(transport, [&](ConnId conn, std::string&& line) {
     transport.Send(conn, "tcp:" + line);
-  }).ok());
+  });
   StatusOr<std::unique_ptr<ClientChannel>> channel =
       ClientChannel::Connect("tcp:127.0.0.1:" + std::to_string(port));
   ASSERT_TRUE(channel.ok()) << channel.status().ToString();
@@ -245,6 +267,14 @@ TEST(TransportTest, TcpListenerOnEphemeralPort) {
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(*reply, "tcp:ping");
   transport.Stop();
+}
+
+TEST(TransportTest, StopBeforeRunMakesRunReturnAtOnce) {
+  // A test thread may call Stop before the loop thread reaches Run; the
+  // stop must not be lost, or the join would hang.
+  Transport transport;
+  transport.Stop();
+  transport.Run([](ConnId, std::string&&) { ADD_FAILURE(); });
 }
 
 TEST(TransportTest, SendToUnknownConnectionReturnsFalse) {
@@ -270,11 +300,11 @@ TEST(TransportTest, QueuedBytesReflectsUndrainedResponsesAndSuspendsReads) {
   const std::string big(4 << 20, 'b');
   std::atomic<size_t> handled{0};
   std::atomic<ConnId> observed_conn{0};
-  ASSERT_TRUE(transport.Start([&](ConnId conn, std::string&&) {
+  LoopThread loop(transport, [&](ConnId conn, std::string&&) {
     observed_conn.store(conn);
     handled.fetch_add(1);
     transport.Send(conn, big);
-  }).ok());
+  });
 
   StatusOr<std::unique_ptr<ClientChannel>> channel =
       ClientChannel::Connect("unix:" + path);
@@ -337,7 +367,7 @@ std::string HttpRoundTrip(const std::string& spec,
 TEST(TransportHttpTest, GetServesHandlerResponseAndCloses) {
   EchoFixture fixture({}, "http");
   // EchoFixture already started the loop, so build a second transport with
-  // the handler installed pre-Start.
+  // the handler installed before its loop runs.
   const std::string path = TestSocketPath("http2");
   Transport transport;
   ASSERT_TRUE(transport.Listen("unix:" + path).ok());
@@ -354,9 +384,9 @@ TEST(TransportHttpTest, GetServesHandlerResponseAndCloses) {
     }
     return response;
   });
-  ASSERT_TRUE(transport.Start([&](ConnId conn, std::string&& line) {
+  LoopThread loop(transport, [&](ConnId conn, std::string&& line) {
     transport.Send(conn, "echo:" + line);
-  }).ok());
+  });
 
   const std::string metrics = HttpRoundTrip(
       "unix:" + path,

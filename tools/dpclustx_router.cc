@@ -14,17 +14,20 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <charconv>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "flag_parse.h"
 #include "obs/build_info.h"
 #include "service/router.h"
 
 namespace {
+
+using dpclustx::tools::ParseIntFlag;
+using dpclustx::tools::ParseStringFlag;
+using dpclustx::tools::UsageError;
 
 constexpr const char kUsage[] =
     "usage: dpclustx_router [flags]\n"
@@ -70,49 +73,20 @@ std::string DefaultServeBinary() {
   return path.substr(0, slash) + "/dpclustx_serve";
 }
 
-[[noreturn]] void UsageError(const std::string& message) {
-  std::cerr << message << "\n" << kUsage;
-  std::exit(2);
-}
-
-/// Parses a non-negative decimal flag value into `out`'s type; anything
-/// else — a sign, a non-digit, an empty string, a value `out` cannot hold —
-/// is a usage error.
-template <typename Int>
-bool ParseIntFlag(int argc, char** argv, int* i, const char* name, Int* out) {
-  if (std::strcmp(argv[*i], name) != 0) return false;
-  if (*i + 1 >= argc) UsageError(std::string(name) + " needs a value");
-  const char* text = argv[++*i];
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, *out);
-  if (ec != std::errc() || ptr != end || text == end || *text == '-') {
-    UsageError(std::string(name) + " needs a non-negative integer, got '" +
-               text + "'");
-  }
-  return true;
-}
-
-bool ParseStringFlag(int argc, char** argv, int* i, const char* name,
-                     std::string* out) {
-  if (std::strcmp(argv[*i], name) != 0) return false;
-  if (*i + 1 >= argc) UsageError(std::string(name) + " needs a value");
-  *out = argv[++*i];
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   dpclustx::service::RouterOptions options;
   options.serve_bin = DefaultServeBinary();
   dpclustx::service::TransportOptions& transport = options.transport;
+  const dpclustx::tools::FlagArgs args{argc, argv, kUsage};
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--") == 0) {
       options.worker_extra_args.assign(argv + i + 1, argv + argc);
       break;
     }
     std::string listen_spec;
-    if (ParseStringFlag(argc, argv, &i, "--listen", &listen_spec)) {
+    if (ParseStringFlag(args, &i, "--listen", &listen_spec)) {
       options.listen_specs.push_back(listen_spec);
       continue;
     }
@@ -120,30 +94,27 @@ int main(int argc, char** argv) {
       options.verify_relay = true;
       continue;
     }
-    if (ParseIntFlag(argc, argv, &i, "--workers", &options.num_shards) ||
-        ParseIntFlag(argc, argv, &i, "--replicas",
-                     &options.replicas_per_shard) ||
-        ParseIntFlag(argc, argv, &i, "--vnodes", &options.vnodes) ||
-        ParseIntFlag(argc, argv, &i, "--health-interval-ms",
+    if (ParseIntFlag(args, &i, "--workers", &options.num_shards) ||
+        ParseIntFlag(args, &i, "--replicas", &options.replicas_per_shard) ||
+        ParseIntFlag(args, &i, "--vnodes", &options.vnodes) ||
+        ParseIntFlag(args, &i, "--health-interval-ms",
                      &options.health_interval_ms) ||
-        ParseIntFlag(argc, argv, &i, "--health-deadline-ms",
+        ParseIntFlag(args, &i, "--health-deadline-ms",
                      &options.health_deadline_ms) ||
-        ParseIntFlag(argc, argv, &i, "--health-misses",
-                     &options.health_misses) ||
-        ParseIntFlag(argc, argv, &i, "--max-frame-bytes",
+        ParseIntFlag(args, &i, "--health-misses", &options.health_misses) ||
+        ParseIntFlag(args, &i, "--max-frame-bytes",
                      &transport.max_frame_bytes) ||
-        ParseIntFlag(argc, argv, &i, "--write-soft-limit-bytes",
+        ParseIntFlag(args, &i, "--write-soft-limit-bytes",
                      &transport.write_soft_limit_bytes) ||
-        ParseIntFlag(argc, argv, &i, "--write-hard-limit-bytes",
+        ParseIntFlag(args, &i, "--write-hard-limit-bytes",
                      &transport.write_hard_limit_bytes) ||
-        ParseIntFlag(argc, argv, &i, "--retry-after-ms",
-                     &options.retry_after_ms) ||
-        ParseIntFlag(argc, argv, &i, "--slow-request-ms",
+        ParseIntFlag(args, &i, "--retry-after-ms", &options.retry_after_ms) ||
+        ParseIntFlag(args, &i, "--slow-request-ms",
                      &options.slow_request_ms) ||
-        ParseIntFlag(argc, argv, &i, "--worker-listen-base",
+        ParseIntFlag(args, &i, "--worker-listen-base",
                      &options.worker_listen_base) ||
-        ParseStringFlag(argc, argv, &i, "--serve", &options.serve_bin) ||
-        ParseStringFlag(argc, argv, &i, "--state-dir", &options.state_dir)) {
+        ParseStringFlag(args, &i, "--serve", &options.serve_bin) ||
+        ParseStringFlag(args, &i, "--state-dir", &options.state_dir)) {
       continue;
     }
     if (std::strcmp(argv[i], "--version") == 0) {
@@ -154,7 +125,7 @@ int main(int argc, char** argv) {
       std::cout << kUsage;
       return 0;
     }
-    UsageError("unknown flag '" + std::string(argv[i]) + "'");
+    UsageError(kUsage, "unknown flag '" + std::string(argv[i]) + "'");
   }
   if (options.num_shards == 0) {
     std::cerr << "--workers must be at least 1\n";

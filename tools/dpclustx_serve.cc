@@ -4,8 +4,20 @@
 // worker pool, and writes one JSON response per line. Responses can arrive
 // out of order relative to requests; clients that care pass an "id" field,
 // which is echoed back verbatim. When the request queue is full the request
-// is answered immediately with a ResourceExhausted error instead of
-// blocking the reader (backpressure is explicit, never silent).
+// is answered immediately with a ResourceExhausted error (backpressure is
+// explicit, never silent).
+//
+// One event loop (service::Transport, DESIGN.md §14) runs on the main
+// thread and owns every fd: stdin/stdout are an adopted connection, and
+// each --listen socket (unix:/path or tcp:[host:]port) accepts many more
+// with the same newline framing. One frame handler serves them all: it
+// sheds a request with ResourceExhausted + retry_after_ms once its
+// connection's response backlog passes the transport's hard write limit,
+// runs it inline under --sync, and otherwise queues it on the engine's
+// pool, whose threads Send the response back through the loop. The
+// periodic metrics dump and snapshot are loop timers; the snapshot save
+// itself runs on the pool, because it holds the spend gate while it
+// writes the whole state.
 //
 // Durability (DESIGN.md §11): with --snapshot the worker restores its hot
 // state (datasets, session ledgers, release cache, audit cursor) at startup
@@ -16,73 +28,34 @@
 // other than "no snapshot yet" refuses to serve — wrong ledgers are worse
 // than downtime.
 //
-// With --listen the same engine also serves socket clients (unix:/path or
-// tcp:[host:]port, src/service/transport.h): many concurrent connections,
-// newline framing identical to stdin, per-connection backpressure, and
-// requests shed with ResourceExhausted + retry_after_ms once a client's
-// response backlog passes the transport's hard write limit. stdin remains
-// the lifecycle handle — EOF drains and shuts down.
+// stdin is the lifecycle handle, even with sockets open. EOF there drains
+// the pool, writes the final snapshot and metrics dump, and exits 0 once
+// stdout has flushed. The snapshot is durable before stdout closes: the
+// router kills a worker as soon as its stdout reaches EOF.
 //
-// The same --listen sockets also answer plain HTTP GETs (DESIGN.md §15):
+// The --listen sockets also answer plain HTTP GETs (DESIGN.md §15):
 // GET /metrics returns the Prometheus text exposition of the process-wide
 // registry (engine ops, transport, ISA dispatch — one scrape, no sidecar),
-// /healthz answers "ok" while the event loop runs, and /ready answers 503
-// until the snapshot restore has completed (load balancers gate on it).
-// JSON-protocol clients are unaffected: their first byte is '{', never 'G'.
+// /healthz answers "ok" while the event loop runs, and /ready answers
+// "ready" — the listeners open only after the snapshot restore completes,
+// so no connection ever sees a restoring worker. JSON-protocol clients are
+// unaffected: their first byte is '{', never 'G'.
 //
-// The flag table below is the single reference (printed by --help and
-// mirrored in README.md "Serving flags"):
-//
-//   --listen SPEC            also accept clients on unix:/path or
-//                            tcp:[host:]port (repeatable); the same socket
-//                            answers HTTP GET /metrics, /healthz, /ready
-//   --threads N              worker threads (default 4)
-//   --queue N                pending-request bound (default 256)
-//   --cache N                release-cache entries (default 1024)
-//   --deadline-ms N          default per-request deadline in ms, counted
-//                            from enqueue; requests may override with their
-//                            own "deadline_ms" field (default 0 = none)
-//   --max-csv-bytes N        refuse load_dataset csv files larger than N
-//                            bytes (default 0 = no limit; convert big files
-//                            to DPXCOL with dpclustx_convert instead)
-//   --sync                   serve each request on the reader thread, in
-//                            order (deterministic scripted sessions)
-//   --trace-all              trace every request into the engine's trace
-//                            ring (retrieve with the "trace" op)
-//   --metrics-dump FILE      periodically write the Prometheus text
-//                            exposition to FILE (atomic tmp+rename); also
-//                            written once at shutdown
-//   --metrics-interval-ms N  metrics dump period in ms (default 5000)
-//   --snapshot FILE          durable state snapshot: restored (with the
-//                            journal, if any) at startup, then saved every
-//                            --snapshot-interval-ms and at shutdown
-//   --snapshot-interval-ms N snapshot save period in ms (default 10000;
-//                            0 = save only at shutdown)
-//   --audit-journal FILE     append+flush every ε charge/denial to FILE
-//                            before its response (the crash-recovery WAL)
-//   --read-only              replica mode: refuse every op that would
-//                            charge ε or mutate state; cache hits (and
-//                            load_snapshot) still serve
-//   --version                print build provenance and exit
-//   --help                   print this flag table and exit
-//
-// On EOF the server drains queued requests, writes a final metrics dump and
-// snapshot, flushes, and exits 0. See README.md for a quickstart transcript.
+// kUsage below is the flag reference (`--help` prints it; README.md
+// "Serving flags" mirrors it).
+
+#include <signal.h>
+#include <unistd.h>
 
 #include <atomic>
-#include <charconv>
-#include <chrono>
-#include <condition_variable>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <iostream>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
+#include <vector>
 
+#include "common/file_util.h"
+#include "flag_parse.h"
 #include "obs/build_info.h"
 #include "obs/metrics.h"
 #include "service/service_engine.h"
@@ -95,19 +68,17 @@ using dpclustx::Status;
 using dpclustx::StatusCode;
 using dpclustx::StatusCodeName;
 using dpclustx::StatusOr;
+using dpclustx::service::ConnId;
+using dpclustx::service::HttpResponse;
 using dpclustx::service::ServiceEngine;
 using dpclustx::service::ServiceEngineOptions;
+using dpclustx::service::Transport;
+using dpclustx::tools::ParseIntFlag;
+using dpclustx::tools::ParseStringFlag;
+using dpclustx::tools::UsageError;
 
-std::mutex stdout_mutex;
-
-void WriteLine(const std::string& response) {
-  std::lock_guard<std::mutex> lock(stdout_mutex);
-  std::cout << response << "\n";
-  std::cout.flush();
-}
-
-// Keep in sync with the file comment above and README.md "Serving flags" —
-// this text IS the reference table.
+// Keep in sync with README.md "Serving flags" — this text IS the reference
+// table.
 constexpr const char kUsage[] =
     "usage: dpclustx_serve [flags]\n"
     "\n"
@@ -123,8 +94,8 @@ constexpr const char kUsage[] =
     "  --max-csv-bytes N        refuse load_dataset csv files larger than N\n"
     "                           bytes (default 0 = no limit; use\n"
     "                           dpclustx_convert for big files)\n"
-    "  --sync                   serve each request on the reader thread, in\n"
-    "                           order (deterministic scripted sessions)\n"
+    "  --sync                   serve each request on the event loop thread,\n"
+    "                           in order (deterministic scripted sessions)\n"
     "  --trace-all              trace every request into the trace ring\n"
     "  --metrics-dump FILE      periodic Prometheus exposition to FILE\n"
     "                           (atomic tmp+rename; final dump at shutdown)\n"
@@ -141,50 +112,13 @@ constexpr const char kUsage[] =
     "  --version                print build provenance and exit\n"
     "  --help                   print this flag table and exit\n";
 
-[[noreturn]] void UsageError(const std::string& message) {
-  std::cerr << message << "\n" << kUsage;
-  std::exit(2);
-}
-
-/// Parses a non-negative decimal flag value; anything else — a sign, a
-/// non-digit, an empty string, an overflow — is a usage error.
-bool ParseSizeFlag(int argc, char** argv, int* i, const char* name,
-                   size_t* out) {
-  if (std::strcmp(argv[*i], name) != 0) return false;
-  if (*i + 1 >= argc) UsageError(std::string(name) + " needs a value");
-  const char* text = argv[++*i];
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, *out);
-  if (ec != std::errc() || ptr != end || text == end) {
-    UsageError(std::string(name) + " needs a non-negative integer, got '" +
-               text + "'");
-  }
-  return true;
-}
-
-bool ParseStringFlag(int argc, char** argv, int* i, const char* name,
-                     std::string* out) {
-  if (std::strcmp(argv[*i], name) != 0) return false;
-  if (*i + 1 >= argc) UsageError(std::string(name) + " needs a value");
-  *out = argv[++*i];
-  return true;
-}
-
-// Writes the Prometheus exposition atomically: scrapers that read `path`
-// see either the previous complete dump or the new one, never a torn file.
-void DumpMetrics(dpclustx::service::ServiceEngine& engine,
-                 const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::cerr << "cannot write metrics dump '" << tmp << "'\n";
-      return;
-    }
-    out << engine.metrics().PrometheusText();
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::cerr << "cannot rename metrics dump to '" << path << "'\n";
+// Scrapers that read `path` see either the previous complete dump or the
+// new one, never a torn file.
+void DumpMetrics(ServiceEngine& engine, const std::string& path) {
+  const Status written =
+      dpclustx::WriteFileAtomic(path, engine.metrics().PrometheusText());
+  if (!written.ok()) {
+    std::cerr << "metrics dump failed: " << written.ToString() << "\n";
   }
 }
 
@@ -197,38 +131,15 @@ void SaveSnapshot(ServiceEngine& engine, const std::string& path) {
   }
 }
 
-/// Background thread running `work` every `interval_ms`, parked on a
-/// condition variable so Stop is immediate instead of waiting out the
-/// interval. Used for both the metrics dump and the periodic snapshot.
-class PeriodicWorker {
- public:
-  PeriodicWorker(size_t interval_ms, std::function<void()> work)
-      : thread_([this, interval_ms, work = std::move(work)] {
-          std::unique_lock<std::mutex> lock(mutex_);
-          while (!stop_) {
-            lock.unlock();
-            work();
-            lock.lock();
-            cv_.wait_for(lock, std::chrono::milliseconds(interval_ms),
-                         [this] { return stop_; });
-          }
-        }) {}
-
-  void Stop() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
+/// Runs `tick` now, then on the loop every `interval_ms`.
+void RunEvery(Transport& transport, int64_t interval_ms,
+              std::function<void()> tick) {
+  tick();
+  transport.RunAfter(interval_ms, [&transport, interval_ms,
+                                   tick = std::move(tick)]() mutable {
+    RunEvery(transport, interval_ms, std::move(tick));
+  });
+}
 
 }  // namespace
 
@@ -242,25 +153,25 @@ int main(int argc, char** argv) {
   size_t snapshot_interval_ms = 10000;
   std::string audit_journal;
   std::vector<std::string> listen_specs;
+  const dpclustx::tools::FlagArgs args{argc, argv, kUsage};
   for (int i = 1; i < argc; ++i) {
     std::string listen_spec;
-    if (ParseStringFlag(argc, argv, &i, "--listen", &listen_spec)) {
+    if (ParseStringFlag(args, &i, "--listen", &listen_spec)) {
       listen_specs.push_back(listen_spec);
       continue;
     }
-    if (ParseSizeFlag(argc, argv, &i, "--threads", &options.num_threads) ||
-        ParseSizeFlag(argc, argv, &i, "--queue", &options.queue_capacity) ||
-        ParseSizeFlag(argc, argv, &i, "--cache", &options.cache_capacity) ||
-        ParseSizeFlag(argc, argv, &i, "--deadline-ms", &deadline_ms) ||
-        ParseSizeFlag(argc, argv, &i, "--max-csv-bytes",
-                      &options.max_csv_bytes) ||
-        ParseSizeFlag(argc, argv, &i, "--metrics-interval-ms",
-                      &metrics_interval_ms) ||
-        ParseSizeFlag(argc, argv, &i, "--snapshot-interval-ms",
-                      &snapshot_interval_ms) ||
-        ParseStringFlag(argc, argv, &i, "--metrics-dump", &metrics_dump) ||
-        ParseStringFlag(argc, argv, &i, "--snapshot", &snapshot_path) ||
-        ParseStringFlag(argc, argv, &i, "--audit-journal", &audit_journal)) {
+    if (ParseIntFlag(args, &i, "--threads", &options.num_threads) ||
+        ParseIntFlag(args, &i, "--queue", &options.queue_capacity) ||
+        ParseIntFlag(args, &i, "--cache", &options.cache_capacity) ||
+        ParseIntFlag(args, &i, "--deadline-ms", &deadline_ms) ||
+        ParseIntFlag(args, &i, "--max-csv-bytes", &options.max_csv_bytes) ||
+        ParseIntFlag(args, &i, "--metrics-interval-ms",
+                     &metrics_interval_ms) ||
+        ParseIntFlag(args, &i, "--snapshot-interval-ms",
+                     &snapshot_interval_ms) ||
+        ParseStringFlag(args, &i, "--metrics-dump", &metrics_dump) ||
+        ParseStringFlag(args, &i, "--snapshot", &snapshot_path) ||
+        ParseStringFlag(args, &i, "--audit-journal", &audit_journal)) {
       continue;
     }
     if (std::strcmp(argv[i], "--sync") == 0) {
@@ -287,23 +198,26 @@ int main(int argc, char** argv) {
       std::cout << kUsage;
       return 0;
     }
-    std::cerr << "unknown flag '" << argv[i] << "'\n" << kUsage;
-    return 2;
+    UsageError(kUsage, "unknown flag '" + std::string(argv[i]) + "'");
   }
   options.default_deadline_ms = static_cast<int64_t>(deadline_ms);
   if (metrics_interval_ms == 0) metrics_interval_ms = 5000;
+
+  // A socket client hanging up mid-response must surface as EPIPE (the
+  // transport closes that connection), not kill the shard; EPIPE on stdout
+  // closes its write side.
+  ::signal(SIGPIPE, SIG_IGN);
 
   // One process, one scrape: the engine registers its instruments in the
   // process-global registry so GET /metrics exposes engine ops, transport
   // counters, and the ISA dispatch gauge in a single exposition.
   options.metrics_registry = &dpclustx::obs::MetricsRegistry::Default();
 
+  // Declared before the engine so both outlive its pool threads, which
+  // Send through the transport and clear `saving` after a periodic save.
+  Transport transport;
+  std::atomic<bool> saving{false};  // a periodic save is queued or running
   ServiceEngine engine(options);
-
-  // Flipped once durable state is restored (or there was none to restore);
-  // /ready answers 503 before that so load balancers and the router's
-  // scrape plane never route to a worker still replaying its journal.
-  std::atomic<bool> ready{false};
 
   // Restore BEFORE the journal is opened for append and before any request
   // is read: RestoreFromFiles requires an empty engine, and the journal must
@@ -344,112 +258,92 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  ready.store(true, std::memory_order_release);
 
-  std::unique_ptr<PeriodicWorker> metrics_writer;
-  if (!metrics_dump.empty()) {
-    metrics_writer = std::make_unique<PeriodicWorker>(
-        metrics_interval_ms, [&] { DumpMetrics(engine, metrics_dump); });
-  }
-  std::unique_ptr<PeriodicWorker> snapshot_writer;
-  if (!snapshot_path.empty() && snapshot_interval_ms > 0 &&
-      !options.read_only) {
-    snapshot_writer = std::make_unique<PeriodicWorker>(
-        snapshot_interval_ms, [&] { SaveSnapshot(engine, snapshot_path); });
-  }
-
-  // Socket front door: same engine, many concurrent clients. The frame
-  // handler runs on the transport's event loop, so it only classifies and
-  // enqueues (--sync serializes socket clients too, on that loop thread).
-  std::unique_ptr<dpclustx::service::Transport> transport;
-  if (!listen_specs.empty()) {
-    transport = std::make_unique<dpclustx::service::Transport>();
-    for (const std::string& spec : listen_specs) {
-      const Status listening = transport->Listen(spec);
-      if (!listening.ok()) {
-        std::cerr << "cannot listen: " << listening.ToString() << "\n";
-        return 1;
-      }
-    }
-    transport->SetHttpHandler(
-        [&engine, &ready](const std::string& path)
-            -> dpclustx::service::HttpResponse {
-          if (path == "/metrics") {
-            return {200, "text/plain; version=0.0.4; charset=utf-8",
-                    engine.metrics().PrometheusText()};
-          }
-          if (path == "/healthz") {
-            return {200, "text/plain; charset=utf-8", "ok\n"};
-          }
-          if (path == "/ready") {
-            return ready.load(std::memory_order_acquire)
-                       ? dpclustx::service::HttpResponse{
-                             200, "text/plain; charset=utf-8", "ready\n"}
-                       : dpclustx::service::HttpResponse{
-                             503, "text/plain; charset=utf-8",
-                             "not ready: restoring durable state\n"};
-          }
-          return {404, "text/plain; charset=utf-8", "not found\n"};
-        });
-    const Status started = transport->Start(
-        [&](dpclustx::service::ConnId conn, std::string&& request) {
-          dpclustx::service::Transport* t = transport.get();
-          if (t->QueuedBytes(conn) > t->options().write_hard_limit_bytes) {
-            t->Send(conn, ServiceEngine::RejectionResponse(
-                              request,
-                              Status::ResourceExhausted(
-                                  "client response backlog exceeds the hard "
-                                  "write limit; drain responses first"),
-                              options.retry_after_ms));
-            return;
-          }
-          if (sync) {
-            t->Send(conn, engine.Handle(request));
-            return;
-          }
-          const Status submitted =
-              engine.HandleAsync(request, [t, conn](std::string response) {
-                t->Send(conn, response);
-              });
-          if (!submitted.ok()) {
-            t->Send(conn,
-                    ServiceEngine::RejectionResponse(request, submitted,
-                                                     options.retry_after_ms));
-          }
-        });
-    if (!started.ok()) {
-      std::cerr << "cannot start transport: " << started.ToString() << "\n";
+  for (const std::string& spec : listen_specs) {
+    const Status listening = transport.Listen(spec);
+    if (!listening.ok()) {
+      std::cerr << "cannot listen: " << listening.ToString() << "\n";
       return 1;
     }
   }
+  transport.SetHttpHandler([&engine](const std::string& path) {
+    constexpr const char kText[] = "text/plain; charset=utf-8";
+    if (path == "/metrics") {
+      return HttpResponse{200, "text/plain; version=0.0.4; charset=utf-8",
+                          engine.metrics().PrometheusText()};
+    }
+    if (path == "/healthz") return HttpResponse{200, kText, "ok\n"};
+    if (path == "/ready") return HttpResponse{200, kText, "ready\n"};
+    return HttpResponse{404, kText, "not found\n"};
+  });
 
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
+  bool stdin_closed = false;  // loop thread only
+  const Transport::FrameHandler on_frame = [&](ConnId conn,
+                                               std::string&& request) {
+    const auto reject = [&](const Status& reason) {
+      transport.Send(conn, ServiceEngine::RejectionResponse(
+                               request, reason, options.retry_after_ms));
+    };
+    if (transport.QueuedBytes(conn) >
+        transport.options().write_hard_limit_bytes) {
+      reject(Status::ResourceExhausted(
+          "client response backlog exceeds the hard write limit; drain "
+          "responses first"));
+      return;
+    }
+    if (stdin_closed) {
+      reject(Status::FailedPrecondition("server is shutting down"));
+      return;
+    }
     if (sync) {
-      WriteLine(engine.Handle(line));
-      continue;
+      transport.Send(conn, engine.Handle(request));
+      return;
     }
-    const Status submitted =
-        engine.HandleAsync(line, [](std::string response) {
-          WriteLine(response);
+    const Status submitted = engine.HandleAsync(
+        request, [&transport, conn](std::string response) {
+          transport.Send(conn, response);
         });
-    if (!submitted.ok()) {
-      WriteLine(ServiceEngine::RejectionResponse(line, submitted,
-                                                 options.retry_after_ms));
+    if (!submitted.ok()) reject(submitted);
+  };
+
+  if (!metrics_dump.empty()) {
+    RunEvery(transport, static_cast<int64_t>(metrics_interval_ms),
+             [&] { DumpMetrics(engine, metrics_dump); });
+  }
+  // At most one periodic save queued or running; a tick that finds the pool
+  // full or shut down (or the last save still going) is skipped.
+  if (!snapshot_path.empty() && snapshot_interval_ms > 0 &&
+      !options.read_only) {
+    RunEvery(transport, static_cast<int64_t>(snapshot_interval_ms), [&] {
+      if (saving.exchange(true)) return;
+      const Status submitted = engine.pool().TrySubmit([&] {
+        SaveSnapshot(engine, snapshot_path);
+        saving = false;
+      });
+      if (!submitted.ok()) saving = false;
+    });
+  }
+
+  ConnId stdio = 0;
+  const std::function<void()> stop_once_flushed = [&] {
+    if (transport.QueuedBytes(stdio) == 0) {
+      transport.Stop();
+    } else {
+      transport.RunAfter(1, stop_once_flushed);
     }
-  }
-  // Drain first so in-flight socket responses still go out, then stop the
-  // transport (late arrivals during the drain get shutdown rejections).
-  engine.Shutdown();
-  if (transport != nullptr) transport->Stop();
-  if (snapshot_writer != nullptr) snapshot_writer->Stop();
-  if (!snapshot_path.empty() && !options.read_only) {
-    SaveSnapshot(engine, snapshot_path);  // final post-drain snapshot
-  }
-  if (metrics_writer != nullptr) {
-    metrics_writer->Stop();
-    DumpMetrics(engine, metrics_dump);  // final post-drain snapshot
-  }
+  };
+  // EOF on stdin: draining the pool blocks the loop, which is fine — the
+  // process is exiting. The final snapshot must be on disk before Stop
+  // closes stdout.
+  stdio = transport.Adopt(STDIN_FILENO, STDOUT_FILENO, on_frame, [&] {
+    stdin_closed = true;
+    engine.Shutdown();
+    if (!snapshot_path.empty() && !options.read_only) {
+      SaveSnapshot(engine, snapshot_path);
+    }
+    if (!metrics_dump.empty()) DumpMetrics(engine, metrics_dump);
+    stop_once_flushed();
+  });
+  transport.Run(on_frame);
   return 0;
 }
