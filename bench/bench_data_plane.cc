@@ -11,6 +11,7 @@
 // feed BENCH_data_plane.json (scripts/bench_snapshot.sh) and the
 // EXPERIMENTS.md data-plane table.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -23,9 +24,11 @@
 #include "cluster/clustering.h"
 #include "cluster/gmm.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "data/column.h"
 #include "data/dataset.h"
 #include "data/kernels/isa.h"
+#include "data/kernels/kernel_table.h"
 #include "data/schema.h"
 #include "data/synthetic.h"
 
@@ -392,6 +395,32 @@ void IsaGmmScore(benchmark::State& state, kernels::IsaLevel level) {
   SetRowsProcessed(state);
 }
 
+// Stage-2 exponential-mechanism weights for 5^8 = 390,625 combinations
+// (the stage2_heavy search space), one 4,096-score block per call as the
+// search issues them. Scaled gaps spread over [0, 50] so both live and
+// truncated-to-zero weights occur; the kernel is branch-free, so the
+// spread does not change its cost.
+void IsaStage2Weights(benchmark::State& state, kernels::IsaLevel level) {
+  constexpr size_t kCombinations = 390625;
+  constexpr size_t kBlock = 4096;
+  const kernels::KernelTable& table = kernels::TableFor(level);
+  Rng rng(7);
+  std::vector<double> scores(kCombinations);
+  for (double& s : scores) s = -50.0 * rng.UniformDouble();
+  std::vector<uint64_t> weights(kCombinations);
+  for (auto _ : state) {
+    for (size_t begin = 0; begin < kCombinations; begin += kBlock) {
+      table.stage2_weights(scores.data() + begin,
+                           std::min(kBlock, kCombinations - begin), 0.0, 1.0,
+                           weights.data() + begin);
+    }
+    benchmark::DoNotOptimize(weights.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kCombinations));
+}
+
 void RegisterIsaSweep() {
   using Fn = void (*)(benchmark::State&, kernels::IsaLevel);
   const std::pair<const char*, Fn> benches[] = {
@@ -409,6 +438,16 @@ void RegisterIsaSweep() {
           ->Unit(benchmark::kMillisecond)
           ->Iterations(3);
     }
+  }
+  // A few milliseconds per level, so report the median of 5 repetitions.
+  for (const kernels::IsaLevel level : kernels::SupportedIsaLevels()) {
+    const std::string full =
+        std::string("BM_IsaStage2Weights/isa:") + kernels::IsaLevelName(level);
+    benchmark::RegisterBenchmark(full.c_str(), IsaStage2Weights, level)
+        ->Unit(benchmark::kMicrosecond)
+        ->Iterations(20)
+        ->Repetitions(5)
+        ->ReportAggregatesOnly(true);
   }
 }
 

@@ -4,12 +4,14 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <set>
 
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "common/thread_pool.h"
 #include "core/candidate_selection.h"
+#include "data/kernels/kernel_table.h"
 #include "obs/trace.h"
 
 namespace dpclustx {
@@ -70,12 +72,11 @@ namespace {
 constexpr size_t kBlockCombinations = 4096;
 
 // Selection weights exp(scale·(s − s*)) ∈ [0, 1] are truncated to integer
-// multiples of 2^-62 (exactly: the scaling by 2^62 is exact). Their sums are
-// then exact integers, identical in any summation order or thread count, and
-// the draw is an exact uniform integer. A weight below 2^-62 truncates to 0:
-// scaled gaps beyond 62·ln 2 ≈ 42.98 are unreachable (docs/PRIVACY.md,
-// caveat 2).
-constexpr double kWeightOne = 0x1.0p62;
+// multiples of 2^-62 by the stage2_weights kernel (src/data/kernels), which
+// computes them identically at every ISA level. Their sums are then exact
+// integers, identical in any summation order or thread count, and the draw
+// is an exact uniform integer. A weight below 2^-62 truncates to 0: scaled
+// gaps beyond 62·ln 2 ≈ 42.98 are unreachable (docs/PRIVACY.md, caveat 2).
 __extension__ typedef unsigned __int128 WeightSum;
 
 // Exactly uniform integer in [0, bound), bound > 0: rejection from the
@@ -89,6 +90,28 @@ WeightSum UniformBelow(Rng& rng, WeightSum bound) {
     if (draw < bound) return draw;
   }
 }
+
+// Largest of scores[0, n), n ≥ 1, over eight independent max chains.
+double MaxScore(const double* scores, size_t n) {
+  constexpr double kLowest = -std::numeric_limits<double>::infinity();
+  double lane[8] = {kLowest, kLowest, kLowest, kLowest,
+                    kLowest, kLowest, kLowest, kLowest};
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    for (size_t j = 0; j < 8; ++j) lane[j] = std::max(lane[j], scores[i + j]);
+  }
+  for (; i < n; ++i) lane[0] = std::max(lane[0], scores[i]);
+  return *std::max_element(lane, lane + 8);
+}
+
+// One block's scores and their weights; a chunk of blocks reuses one.
+struct BlockBuffers {
+  explicit BlockBuffers(size_t capacity)
+      : scores(std::make_unique_for_overwrite<double[]>(capacity)),
+        weights(std::make_unique_for_overwrite<uint64_t[]>(capacity)) {}
+  std::unique_ptr<double[]> scores;
+  std::unique_ptr<uint64_t[]> weights;
+};
 
 // Enumerates the combinations in mixed-radix order (cluster 0 least
 // significant) and scores them incrementally, a tile at a time: a tile fixes
@@ -152,10 +175,19 @@ class CombinationScanner {
 
   size_t num_blocks() const { return num_blocks_; }
 
-  /// Calls tile(first, scores, count) for every tile of `block` in order;
-  /// scores[i] (i < count) is the score of combination index first + i.
-  template <typename TileFn>
-  void ScanBlock(size_t block, TileFn&& tile) const {
+  /// Most scores one block holds: the size of a ScanBlock buffer.
+  size_t block_capacity() const {
+    return std::min(tiles_per_block_, num_tiles_) * k0_ * k1_;
+  }
+
+  /// Combination index of the first score of `block`.
+  size_t first_combination(size_t block) const {
+    return block * tiles_per_block_ * k0_ * k1_;
+  }
+
+  /// Writes the scores of `block` to scores[0, count) and returns count;
+  /// scores[i] is the score of combination first_combination(block) + i.
+  size_t ScanBlock(size_t block, double* scores) const {
     const size_t tile_begin = block * tiles_per_block_;
     const size_t tile_end = std::min(num_tiles_, tile_begin + tiles_per_block_);
     const size_t outer = clusters_ > 2 ? clusters_ - 2 : 0;
@@ -163,7 +195,6 @@ class CombinationScanner {
     // Level c (outer cluster c) at levels[(c - 2)·(k0 + k1)]: k0 values of
     // v0, then k1 of v1.
     std::vector<double> levels(outer * (k0_ + k1_));
-    std::vector<double> scores(k0_ * k1_);
     size_t remainder = tile_begin;
     for (size_t c = 2; c < clusters_; ++c) {
       choice[c] = remainder % sizes_[c];
@@ -172,15 +203,14 @@ class CombinationScanner {
     for (size_t c = clusters_; c-- > 2;) Recompute(c, choice, levels);
     const double* v0 = outer > 0 ? levels.data() : unary_[0];
     const double* v1 = outer > 0 ? levels.data() + k0_ : v1_base_.data();
+    double* row = scores;
     for (size_t t = tile_begin; t < tile_end; ++t) {
-      for (size_t j1 = 0; j1 < k1_; ++j1) {
+      for (size_t j1 = 0; j1 < k1_; ++j1, row += k0_) {
         const double* pair01 = &pair01_[j1 * k0_];
-        double* row = &scores[j1 * k0_];
         for (size_t j0 = 0; j0 < k0_; ++j0) {
           row[j0] = v0[j0] + v1[j1] + pair01[j0];
         }
       }
-      tile(t * k0_ * k1_, scores.data(), scores.size());
       size_t top = 2;
       for (; top < clusters_; ++top) {
         if (++choice[top] < sizes_[top]) break;
@@ -189,6 +219,7 @@ class CombinationScanner {
       if (t + 1 == tile_end) break;
       for (size_t c = top + 1; c-- > 2;) Recompute(c, choice, levels);
     }
+    return static_cast<size_t>(row - scores);
   }
 
  private:
@@ -326,22 +357,26 @@ StatusOr<AttributeCombination> SearchCombinationParallel(
 
   const CombinationScanner scanner(candidate_sets, tables);
   const size_t blocks = scanner.num_blocks();
-  // Runs pass(block) for every block on the shared compute pool. Each block
-  // writes only its own slot, so results do not depend on num_threads.
-  // ParallelFor bodies cannot propagate Status, so cancellation is a shared
-  // flag polled once per block; relaxed ordering suffices — it gates no data.
+  const size_t capacity = scanner.block_capacity();
+  const kernels::KernelTable& kernels = kernels::Active();
+  // Runs pass(block, buffers) for every block on the shared compute pool,
+  // one BlockBuffers per chunk. Each block writes only its own slot, so
+  // results do not depend on num_threads. ParallelFor bodies cannot
+  // propagate Status, so cancellation is a shared flag polled once per
+  // block; relaxed ordering suffices — it gates no data.
   std::atomic<bool> cancelled{false};
   auto for_each_block = [&](auto&& pass) -> Status {
     ParallelFor(
         blocks, /*grain=*/1,
         [&](size_t /*chunk*/, size_t begin, size_t end) {
+          BlockBuffers buffers(capacity);
           for (size_t b = begin; b < end; ++b) {
             if (cancelled.load(std::memory_order_relaxed)) return;
             if (deadline.Expired()) {
               cancelled.store(true, std::memory_order_relaxed);
               return;
             }
-            pass(b);
+            pass(b, buffers);
           }
         },
         num_threads);
@@ -351,48 +386,44 @@ StatusOr<AttributeCombination> SearchCombinationParallel(
     return Status::OK();
   };
 
-  // Pass 1: the exact maximum s* and its lowest index (max-plus scan).
+  // Pass 1: the exact maximum s* (max-plus scan).
   std::vector<double> block_max(blocks);
-  std::vector<size_t> block_argmax(blocks);
-  DPX_RETURN_IF_ERROR(for_each_block([&](size_t b) {
-    double best = -std::numeric_limits<double>::infinity();
-    size_t argmax = 0;
-    scanner.ScanBlock(b, [&](size_t first, const double* scores,
-                             size_t count) {
-      for (size_t i = 0; i < count; ++i) {
-        if (scores[i] > best) {
-          best = scores[i];
-          argmax = first + i;
-        }
-      }
-    });
-    block_max[b] = best;
-    block_argmax[b] = argmax;
+  DPX_RETURN_IF_ERROR(for_each_block([&](size_t b, BlockBuffers& in) {
+    const size_t count = scanner.ScanBlock(b, in.scores.get());
+    block_max[b] = MaxScore(in.scores.get(), count);
   }));
   size_t best_block = 0;
   for (size_t b = 1; b < blocks; ++b) {
     if (block_max[b] > block_max[best_block]) best_block = b;
   }
-  size_t selected = block_argmax[best_block];
+  const double top = block_max[best_block];
+  BlockBuffers rescan(capacity);
 
-  if (private_selection) {
+  size_t selected = 0;
+  if (!private_selection) {
+    // The lowest-index argmax: the first s* in the first block holding it.
+    const double* scores = rescan.scores.get();
+    const size_t count = scanner.ScanBlock(best_block, rescan.scores.get());
+    selected = scanner.first_combination(best_block) +
+               static_cast<size_t>(std::find(scores, scores + count, top) -
+                                   scores);
+  } else {
     // Pass 2: exact block sums of the weights exp(scale·(s − s*)), which
     // lie in [0, 1] with the maximum's exactly 1. Then one uniform draw over
     // the total picks a block, and a rescan of that block walks the same
-    // weights to the combination. Both scans cover whole blocks so the time
-    // depends only on k^|C|.
-    const double top = block_max[best_block];
-    auto weight = [&](double score) {
-      return static_cast<uint64_t>(
-          static_cast<int64_t>(std::exp(scale * (score - top)) * kWeightOne));
+    // weights to the combination. Every block is weighed in full, so the
+    // time depends only on k^|C|.
+    auto weigh = [&](size_t b, BlockBuffers& in) {
+      const size_t count = scanner.ScanBlock(b, in.scores.get());
+      kernels.stage2_weights(in.scores.get(), count, top, scale,
+                             in.weights.get());
+      return count;
     };
     std::vector<WeightSum> block_sum(blocks);
-    DPX_RETURN_IF_ERROR(for_each_block([&](size_t b) {
+    DPX_RETURN_IF_ERROR(for_each_block([&](size_t b, BlockBuffers& in) {
+      const size_t count = weigh(b, in);
       WeightSum sum = 0;
-      scanner.ScanBlock(b, [&](size_t /*first*/, const double* scores,
-                               size_t count) {
-        for (size_t i = 0; i < count; ++i) sum += weight(scores[i]);
-      });
+      for (size_t i = 0; i < count; ++i) sum += in.weights[i];
       block_sum[b] = sum;
     }));
     WeightSum total = 0;
@@ -409,21 +440,12 @@ StatusOr<AttributeCombination> SearchCombinationParallel(
       }
     }
     DPX_CHECK_LT(chosen_block, blocks);
-    bool found = false;
-    scanner.ScanBlock(chosen_block, [&](size_t first, const double* scores,
-                                        size_t count) {
-      for (size_t i = 0; i < count; ++i) {
-        const uint64_t w = weight(scores[i]);
-        if (found) continue;
-        if (remaining < w) {
-          found = true;
-          selected = first + i;
-        } else {
-          remaining -= w;
-        }
-      }
-    });
-    DPX_CHECK(found);
+    const size_t count = weigh(chosen_block, rescan);
+    const uint64_t* weights = rescan.weights.get();
+    size_t i = 0;
+    for (; i < count && remaining >= weights[i]; ++i) remaining -= weights[i];
+    DPX_CHECK_LT(i, count);
+    selected = scanner.first_combination(chosen_block) + i;
   }
 
   AttributeCombination combination(clusters);

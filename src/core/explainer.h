@@ -120,12 +120,14 @@ CombinationScoreTables BuildLowSensitivityTables(
 /// (lowest combination index on ties) when epsilon <= 0 (the non-private
 /// TabEE limit). Exposed for the baselines and tests.
 ///
-/// The combinations are scanned in blocks of at most 4,096: a first pass
-/// finds the exact maximum score s*, a second sums each block's weights
-/// exp(ε·(score − s*)/(2Δ)) in fixed point, then one uniform draw over the
+/// The combinations are scanned in blocks of at most 4,096, each written to
+/// a score buffer: a first pass finds the exact maximum score s*, a second
+/// turns each block into the fixed-point weights
+/// ⌊2^62·exp(ε·(score − s*)/(2Δ))⌋ with the stage2_weights kernel
+/// (data/kernels) and sums them exactly, then one uniform draw over the
 /// total picks a block and a rescan of that block picks the combination.
 /// The work depends only on the candidate-set sizes, and the result only on
-/// the seed — not on the thread count.
+/// the seed — not on the thread count or the ISA level.
 StatusOr<AttributeCombination> SearchCombination(
     const std::vector<std::vector<AttrIndex>>& candidate_sets,
     const CombinationScoreTables& tables, double epsilon, double sensitivity,

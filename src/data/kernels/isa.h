@@ -20,8 +20,9 @@
 // kernels are too, because (a) all kernel TUs are compiled with
 // -ffp-contract=off so no level fuses multiply-add, and (b) every float
 // reduction runs the same fixed eight-accumulator structure regardless of
-// vector width (kernels_impl.inc). tests/dataset_layout_test enforces this
-// per level.
+// vector width, while elementwise float kernels (embed, the Stage-2 weight
+// exp) are lane-exact (kernels_impl.inc). tests/dataset_layout_test
+// enforces this per level.
 
 #ifndef DPCLUSTX_DATA_KERNELS_ISA_H_
 #define DPCLUSTX_DATA_KERNELS_ISA_H_

@@ -9,7 +9,8 @@
 // Contract for every entry (enforced by tests/dataset_layout_test):
 //   - integer kernels produce bitwise-identical outputs at every level;
 //   - float kernels produce bitwise-identical outputs at every level
-//     (fixed eight-accumulator reductions, no FMA contraction);
+//     (fixed eight-accumulator reductions, no FMA contraction; the Stage-2
+//     weight exp is elementwise add/mul/bit operations only);
 //   - no entry validates its inputs — callers check codes/labels/bounds.
 
 #ifndef DPCLUSTX_DATA_KERNELS_KERNEL_TABLE_H_
@@ -94,6 +95,14 @@ struct KernelTable {
   /// acc[i] += w·(x[i]-mean[i])² — the M-step variance accumulation.
   void (*weighted_sq_acc)(double w, const double* x, const double* mean,
                           double* acc, size_t n);
+
+  /// weights[i] = ⌊2^62·e^{scale·(scores[i] − top)}⌋ for i in [0, n) — the
+  /// Stage-2 exponential-mechanism weights in fixed point. Requires
+  /// scores[i] ≤ top and scale ≥ 0 (the scaled gap may be −inf); gap 0
+  /// gives exactly 2^62 and gaps beyond 62·ln 2 give 0. Branch-free, no
+  /// libm call, relative error < 2^-51 before truncation.
+  void (*stage2_weights)(const double* scores, size_t n, double top,
+                         double scale, uint64_t* weights);
 };
 
 /// Per-ISA table accessors, defined one per translation unit. Only levels

@@ -8,6 +8,9 @@
 // sizes 2, 255, 256, 65536, 65537), between the batched AssignBatch kernels
 // and the per-row Assign scan, and at 0/1/8 threads.
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,6 +31,7 @@
 #include "data/columnar_format.h"
 #include "data/dataset.h"
 #include "data/kernels/isa.h"
+#include "data/kernels/kernel_table.h"
 
 namespace dpclustx {
 namespace {
@@ -482,6 +486,105 @@ TEST(KernelDispatchTest, ExplanationsBitwiseIdenticalAcrossIsaLevels) {
     EXPECT_EQ(ExplanationToJson(*explanation, pair.adaptive.schema()),
               reference)
         << "explanation diverged at isa " << kernels::IsaLevelName(level);
+  }
+}
+
+// The Stage-2 weight kernel ⌊2^62·e^{scale·(s − top)}⌋ is an elementwise
+// exp built from IEEE add/mul and integer bit operations, so every level
+// must match the generic table bit for bit — on a dense sweep, on every
+// tail length, and at the edges. The ASan+UBSan pass of scripts/check.sh
+// runs this sweep too, so a shift of 64 or more or an out-of-range
+// conversion on any of these inputs fails the check.
+TEST(KernelDispatchTest, Stage2WeightsBitwiseIdenticalAcrossIsaLevels) {
+  constexpr uint64_t kOne = uint64_t{1} << 62;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double cutoff = static_cast<double>(62.0L * std::log(2.0L));
+  // Gaps (scores are their negations, top 0, scale 1): a dense sweep of
+  // [0, 50], ±64 ulps around the first reduction boundaries (j + ½)·ln 2,
+  // the truncation cut-off ± 1 ulp, and huge gaps.
+  std::vector<double> gaps;
+  for (int i = 0; i <= 50 * 1024; ++i) gaps.push_back(i / 1024.0);
+  for (int j = 0; j < 8; ++j) {
+    double gap = (j + 0.5) * std::log(2.0);
+    for (int u = 0; u < 64; ++u) gap = std::nextafter(gap, 0.0);
+    for (int u = 0; u < 128; ++u, gap = std::nextafter(gap, kInf)) {
+      gaps.push_back(gap);
+    }
+  }
+  for (const double gap :
+       {0.0, -0.0, std::nextafter(cutoff, 0.0), cutoff,
+        std::nextafter(cutoff, kInf), 63.9, 64.0, std::nextafter(64.0, kInf),
+        1e6, 1e300, std::numeric_limits<double>::max()}) {
+    gaps.push_back(gap);
+  }
+  std::sort(gaps.begin(), gaps.end());
+  std::vector<double> scores(gaps.size());
+  for (size_t i = 0; i < gaps.size(); ++i) scores[i] = -gaps[i];
+
+  const auto weigh = [](kernels::IsaLevel level, const double* s, size_t n,
+                        double top, double scale) {
+    std::vector<uint64_t> w(n);
+    kernels::TableFor(level).stage2_weights(s, n, top, scale, w.data());
+    return w;
+  };
+  const std::vector<uint64_t> reference = weigh(
+      kernels::IsaLevel::kGeneric, scores.data(), scores.size(), 0.0, 1.0);
+
+  // Gap 0 weighs exactly 2^62 — whatever the sign of zero or the value of
+  // top — so the block total is never 0.
+  EXPECT_EQ(reference.front(), kOne);
+  const std::pair<double, double> ties[] = {
+      {0.0, 0.0}, {-0.0, 0.0}, {0.0, -0.0}, {-0.0, -0.0}, {3.75, 3.75},
+      {-1e6, -1e6}};
+  for (const auto& [score, top] : ties) {
+    const double s[] = {score};
+    EXPECT_EQ(weigh(kernels::IsaLevel::kGeneric, s, 1, top, 7.0)[0], kOne)
+        << "score " << score << " top " << top;
+  }
+  // Beyond the cut-off every weight truncates to 0; a scaled gap that
+  // overflows to −inf does too.
+  EXPECT_EQ(reference.back(), 0u);
+  {
+    const double s[] = {0.0, -1.0, -1e300};
+    const double huge = std::numeric_limits<double>::max();
+    EXPECT_EQ(weigh(kernels::IsaLevel::kGeneric, s, 3, 0.0, huge),
+              (std::vector<uint64_t>{kOne, 0, 0}));
+  }
+
+  // Weights never increase as the gap grows.
+  for (size_t i = 1; i < gaps.size(); ++i) {
+    ASSERT_LE(reference[i], reference[i - 1])
+        << "gap " << gaps[i - 1] << " -> " << gaps[i];
+  }
+
+  // Accuracy: |w − 2^62·e^{−gap}| ≤ 2^-51·2^62·e^{−gap} + 1 (the relative
+  // error of the exp, plus the final truncation) wherever the true weight
+  // is at least 2^40.
+  for (size_t i = 0; i < gaps.size(); ++i) {
+    const long double exact =
+        std::ldexp(std::exp(-static_cast<long double>(gaps[i])), 62);
+    if (exact < 0x1p40L) continue;
+    const long double error =
+        std::fabs(static_cast<long double>(reference[i]) - exact);
+    ASSERT_LE(error, std::ldexp(exact, -51) + 1.0L) << "gap " << gaps[i];
+  }
+
+  // Every level, bitwise: the whole sweep in one call, and every tail
+  // length 1..33 from several offsets and tops.
+  for (const kernels::IsaLevel level : kernels::SupportedIsaLevels()) {
+    ASSERT_EQ(weigh(level, scores.data(), scores.size(), 0.0, 1.0), reference)
+        << "isa " << kernels::IsaLevelName(level);
+    for (size_t n = 1; n <= 33; ++n) {
+      for (const size_t offset : {size_t{0}, size_t{3}, size_t{4099}}) {
+        for (const double top : {0.0, 0.5}) {
+          const double* s = scores.data() + offset;
+          ASSERT_EQ(weigh(level, s, n, top, 1.7),
+                    weigh(kernels::IsaLevel::kGeneric, s, n, top, 1.7))
+              << "isa " << kernels::IsaLevelName(level) << " n " << n
+              << " offset " << offset << " top " << top;
+        }
+      }
+    }
   }
 }
 

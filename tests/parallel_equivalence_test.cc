@@ -357,17 +357,22 @@ TEST(ClusteringParallelTest, FitsInvariantAcrossIsaLevelsAndThreadCounts) {
   }
 }
 
-TEST(StageTwoParallelTest, PrivateSelectionIdenticalAcrossThreadCounts) {
-  // 5·4·3·5·4·3·5·4 = 72,000 combinations with pair terms: 18 blocks.
-  const std::vector<size_t> sizes = {5, 4, 3, 5, 4, 3, 5, 4};
-  Rng table_rng(9);
-  std::vector<std::vector<AttrIndex>> sets(sizes.size());
+// Random unary and pair score tables over candidate sets of `sizes`.
+struct StageTwoSpace {
+  std::vector<std::vector<AttrIndex>> sets;
   core_internal::CombinationScoreTables tables;
+};
+
+StageTwoSpace RandomStageTwoSpace(const std::vector<size_t>& sizes) {
+  Rng table_rng(9);
+  StageTwoSpace space;
+  space.sets.resize(sizes.size());
+  auto& tables = space.tables;
   tables.unary.resize(sizes.size());
   tables.pair.resize(sizes.size());
   for (size_t c = 0; c < sizes.size(); ++c) {
     for (size_t j = 0; j < sizes[c]; ++j) {
-      sets[c].push_back(static_cast<AttrIndex>(10 * c + j));
+      space.sets[c].push_back(static_cast<AttrIndex>(10 * c + j));
       tables.unary[c].push_back(table_rng.UniformDouble());
     }
     tables.pair[c].resize(sizes.size());
@@ -376,6 +381,14 @@ TEST(StageTwoParallelTest, PrivateSelectionIdenticalAcrossThreadCounts) {
       for (double& v : tables.pair[c][cp]) v = 0.3 * table_rng.UniformDouble();
     }
   }
+  return space;
+}
+
+TEST(StageTwoParallelTest, PrivateSelectionIdenticalAcrossThreadCounts) {
+  // 5·4·3·5·4·3·5·4 = 72,000 combinations with pair terms: 18 blocks.
+  const StageTwoSpace space = RandomStageTwoSpace({5, 4, 3, 5, 4, 3, 5, 4});
+  const auto& sets = space.sets;
+  const auto& tables = space.tables;
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     Rng reference_rng(seed);
     const auto reference = core_internal::SearchCombination(
@@ -393,6 +406,45 @@ TEST(StageTwoParallelTest, PrivateSelectionIdenticalAcrossThreadCounts) {
       // The search leaves the stream where the serial search does.
       EXPECT_EQ(rng.engine()(), reference_next)
           << "seed " << seed << " threads " << threads;
+    }
+  }
+}
+
+// The Stage-2 weights come from the dispatched stage2_weights kernel, so the
+// draw must not depend on the ISA level either: every (level × threads)
+// pair returns the serial generic-level combination and leaves the Rng
+// where it does, in private and in exact mode.
+TEST(StageTwoParallelTest, SelectionIdenticalAcrossIsaLevelsAndThreadCounts) {
+  // 5·4·3·5·4·3·5·4 = 72,000 combinations with pair terms: 18 blocks.
+  const StageTwoSpace space = RandomStageTwoSpace({5, 4, 3, 5, 4, 3, 5, 4});
+  for (const double epsilon : {4.0, 40.0, 0.0}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      AttributeCombination reference;
+      uint64_t reference_next = 0;
+      {
+        kernels::ScopedForceIsa generic(kernels::IsaLevel::kGeneric);
+        Rng rng(seed);
+        const auto combo = core_internal::SearchCombination(
+            space.sets, space.tables, epsilon, 1.0, 1 << 20, rng);
+        ASSERT_TRUE(combo.ok()) << combo.status();
+        reference = *combo;
+        reference_next = rng.engine()();
+      }
+      for (const kernels::IsaLevel level : kernels::SupportedIsaLevels()) {
+        kernels::ScopedForceIsa force(level);
+        for (const size_t threads : {size_t{1}, size_t{4}}) {
+          Rng rng(seed);
+          const auto combo = core_internal::SearchCombinationParallel(
+              space.sets, space.tables, epsilon, 1.0, 1 << 20, rng, threads);
+          ASSERT_TRUE(combo.ok()) << combo.status();
+          EXPECT_EQ(*combo, reference)
+              << "epsilon " << epsilon << " seed " << seed << " isa "
+              << kernels::IsaLevelName(level) << " threads " << threads;
+          EXPECT_EQ(rng.engine()(), reference_next)
+              << "epsilon " << epsilon << " seed " << seed << " isa "
+              << kernels::IsaLevelName(level) << " threads " << threads;
+        }
+      }
     }
   }
 }
