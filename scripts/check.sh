@@ -27,7 +27,10 @@
 # transport's one event loop (serve's pool threads hand responses to it),
 # and TSan checks that claim; the zero-reparse relay
 # scanner runs under ASan (json_relay_test) — worker output is untrusted
-# once a worker has crashed mid-write. The Stage-2 search runs under ASan
+# once a worker has crashed mid-write. So do the release path's byte
+# goldens (release_bytes_test) and the seeded mutation fuzz of the
+# cached-body splitter (json_split_fuzz_test): cache hits split bytes that
+# come back from snapshots on disk. The Stage-2 search runs under ASan
 # too (explainer_test): request ε and score tables reach the weight
 # kernel's bit-level exp (exponent shifts, double-to-integer limbs), so
 # UBSan checks every shift and conversion there.
@@ -91,11 +94,12 @@ else
     service_test service_robustness_test json_test mechanisms_test \
     thread_pool_test dataset_layout_test obs_test snapshot_test \
     csv_test columnar_format_test json_relay_test explainer_test \
+    release_bytes_test json_split_fuzz_test \
     dpclustx_serve dpclustx_router dpclustx_convert \
     >/dev/null
   (cd build-asan &&
    ctest --output-on-failure \
-     -R '^(service_test|service_robustness_test|json_test|mechanisms_test|thread_pool_test|dataset_layout_test|obs_test|snapshot_test|csv_test|columnar_format_test|json_relay_test|explainer_test)$')
+     -R '^(service_test|service_robustness_test|json_test|mechanisms_test|thread_pool_test|dataset_layout_test|obs_test|snapshot_test|csv_test|columnar_format_test|json_relay_test|explainer_test|release_bytes_test|json_split_fuzz_test)$')
 
   echo "==> ASan kernel dispatch smoke (DPCLUSTX_ISA=generic startup)"
   # Starts with dispatch clamped all the way down, then the in-test

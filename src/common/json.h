@@ -1,9 +1,34 @@
-// Minimal JSON document model, writer, and parser.
+// Minimal JSON document model, streaming writer, and parser.
 //
 // Supports the JSON subset the library emits (objects, arrays, strings with
 // escapes, finite doubles, booleans, null). Used to serialize explanations
 // and schemas for downstream consumers (the DPClustX demo UI renders
 // exactly this kind of payload); kept dependency-free on purpose.
+//
+// One serializer: JsonWriter appends compact JSON to a caller's buffer, and
+// JsonValue::Dump is a thin recursion over it, so a tree and a direct write
+// of the same document produce the same bytes. That canonical form is:
+//   - no whitespace;
+//   - object keys in strictly increasing byte order (std::map order). The
+//     writer DPX_CHECKs this contract, so a hand-written body cannot emit
+//     keys a tree would have reordered — the relay's byte splices and the
+//     response-envelope merge below both depend on it;
+//   - integral numbers with |x| < 1e15 as "%lld", every other finite number
+//     as "%.17g" (both via std::to_chars, byte-identical to printf, exact
+//     round trip); non-finite numbers as null;
+//   - strings escaped as \" \\ \n \r \t, other bytes < 0x20 as \u00xx,
+//     everything else (UTF-8 included) verbatim.
+//
+// Releases are bytes: a response body is written once with the writer and
+// carried in the tree as pre-serialized values (JsonValue::Serialized),
+// which Dump emits verbatim. An envelope object whose members are such
+// values therefore merges its own small keys (ok, id, epsilon_*, ...) with
+// the body's members in key order, byte-for-byte what a tree of the whole
+// response would dump. A pre-serialized value remembers whether its writer
+// met a non-finite number, so IsFinite() keeps gating responses.
+// SplitDumpedObject goes the other way for cached bodies: it splits
+// Dump-exact object text into pre-serialized members without building a
+// tree, and refuses anything Dump would not have produced byte for byte.
 
 #ifndef DPCLUSTX_COMMON_JSON_H_
 #define DPCLUSTX_COMMON_JSON_H_
@@ -11,15 +36,68 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 
 namespace dpclustx {
 
+class JsonValue;
+
+/// Streaming writer of canonical compact JSON (see the file comment),
+/// appending to a caller-owned buffer. Misuse — a key outside an object, a
+/// value without its key, keys out of order, unbalanced containers — is a
+/// programming error and DPX_CHECKs.
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string* out) : out_(out) {}
+
+  void BeginObject();
+  void EndObject();
+  void BeginArray();
+  void EndArray();
+  /// Next member's key; must sort strictly after the previous key of the
+  /// same object.
+  void Key(std::string_view key);
+
+  void Null();
+  void Bool(bool value);
+  /// Non-finite values are written as null and clear finite().
+  void Number(double value);
+  void String(std::string_view value);
+  /// Already-serialized JSON, copied verbatim as one value.
+  void Raw(std::string_view json);
+
+  /// False once a non-finite number was written (as null).
+  bool finite() const { return finite_; }
+
+ private:
+  friend class JsonValue;  // carries a pre-serialized value's finiteness
+  struct Level {
+    bool object = false;
+    bool first = true;
+    bool has_key = false;      // object: a key awaits its value
+    std::string last_key;      // object: previous key, for the order check
+  };
+  void BeforeValue();
+  void Open(bool object, char bracket);
+  void Close(bool object, char bracket);
+
+  std::string* out_;
+  std::vector<Level> levels_;  // [0, depth_) in use; storage is reused
+  size_t depth_ = 0;
+  bool finite_ = true;
+};
+
 class JsonValue {
  public:
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
+  enum class Type {
+    kNull, kBool, kNumber, kString, kArray, kObject,
+    /// Pre-serialized JSON text, emitted verbatim by Dump/JsonWriter.
+    kSerialized
+  };
 
   /// Constructs null.
   JsonValue() : type_(Type::kNull) {}
@@ -36,6 +114,11 @@ class JsonValue {
   static JsonValue String(std::string value);
   static JsonValue Array();
   static JsonValue Object();
+  /// Already-serialized canonical JSON for one value (typically written by
+  /// a JsonWriter), emitted verbatim. `finite` is that writer's finite():
+  /// IsFinite() reports it, so a pre-serialized release keeps tripping the
+  /// serving boundary's non-finite gate.
+  static JsonValue Serialized(std::string json, bool finite = true);
 
   Type type() const { return type_; }
   bool is_null() const { return type_ == Type::kNull; }
@@ -73,12 +156,26 @@ class JsonValue {
   StatusOr<double> GetNumber(const std::string& key) const;
   StatusOr<std::string> GetString(const std::string& key) const;
 
-  /// Serializes to compact JSON text.
+  /// Serializes to compact JSON text (canonical form; see file comment).
   std::string Dump() const;
+  /// Appends this value to `writer`'s stream.
+  void WriteTo(JsonWriter& writer) const;
+  /// Replaces every member of this object by its serialized form, so a
+  /// later Dump only concatenates bytes (lets a caller time the
+  /// serialization separately from the final copy).
+  void SerializeMembers();
 
   /// Parses a JSON document. Returns InvalidArgument with a position on
   /// malformed input. Rejects trailing garbage.
   static StatusOr<JsonValue> Parse(const std::string& text);
+
+  /// Splits `text` into an object whose members are pre-serialized values,
+  /// without building their trees. Accepts exactly the texts that are the
+  /// Dump() of some object — then Dump() of the result is `text` again and
+  /// equals Parse(text)->Dump() — and refuses everything else with
+  /// InvalidArgument (whitespace, unsorted or duplicate keys, non-canonical
+  /// numbers or escapes, malformed or trailing bytes).
+  static StatusOr<JsonValue> SplitDumpedObject(std::string_view text);
 
  private:
   Type type_;
@@ -88,6 +185,16 @@ class JsonValue {
   std::vector<JsonValue> array_;
   std::map<std::string, JsonValue> object_;
 };
+
+/// Runs `write(writer)` on a fresh writer and returns its output as one
+/// pre-serialized value (finiteness carried over).
+template <typename WriteFn>
+JsonValue SerializeWith(WriteFn&& write) {
+  std::string out;
+  JsonWriter writer(&out);
+  write(writer);
+  return JsonValue::Serialized(std::move(out), writer.finite());
+}
 
 }  // namespace dpclustx
 

@@ -7,14 +7,6 @@ namespace dpclustx {
 
 namespace {
 
-JsonValue HistogramToJson(const Histogram& histogram) {
-  JsonValue bins = JsonValue::Array();
-  for (size_t i = 0; i < histogram.domain_size(); ++i) {
-    bins.Append(JsonValue::Number(histogram.bin(static_cast<ValueCode>(i))));
-  }
-  return bins;
-}
-
 StatusOr<Histogram> HistogramFromJson(const JsonValue& json,
                                       size_t expected_domain) {
   if (json.type() != JsonValue::Type::kArray) {
@@ -115,45 +107,66 @@ StatusOr<Schema> SchemaFromJson(const std::string& json) {
   return schema;
 }
 
+void WriteExplanationJson(const GlobalExplanation& explanation,
+                          const Schema& schema, JsonWriter& writer) {
+  const auto write_names = [&](const std::vector<AttrIndex>& attrs) {
+    writer.BeginArray();
+    for (AttrIndex attr : attrs) {
+      DPX_CHECK_LT(attr, schema.num_attributes());
+      writer.String(schema.attribute(attr).name());
+    }
+    writer.EndArray();
+  };
+  const auto write_bins = [&](const Histogram& histogram) {
+    writer.BeginArray();
+    for (size_t i = 0; i < histogram.domain_size(); ++i) {
+      writer.Number(histogram.bin(static_cast<ValueCode>(i)));
+    }
+    writer.EndArray();
+  };
+  // Keys in the writer's required (lexicographic) order.
+  writer.BeginObject();
+  writer.Key("candidate_sets");
+  writer.BeginArray();
+  for (const auto& set : explanation.candidate_sets) write_names(set);
+  writer.EndArray();
+  writer.Key("clusters");
+  writer.BeginArray();
+  for (const SingleClusterExplanation& e : explanation.per_cluster) {
+    const bool noisy = e.epsilon_inside > 0.0;
+    writer.BeginObject();
+    writer.Key("attribute");
+    writer.String(schema.attribute(e.attribute).name());
+    writer.Key("cluster");
+    writer.Number(static_cast<double>(e.cluster));
+    if (noisy) {
+      writer.Key("epsilon_full");
+      writer.Number(e.epsilon_full);
+      writer.Key("epsilon_inside");
+      writer.Number(e.epsilon_inside);
+    }
+    writer.Key("inside");
+    write_bins(e.inside);
+    if (noisy) {
+      writer.Key("noise");
+      writer.String(NoiseName(e.noise));
+    }
+    writer.Key("outside");
+    write_bins(e.outside);
+    writer.EndObject();
+  }
+  writer.EndArray();
+  writer.Key("combination");
+  write_names(explanation.combination);
+  writer.EndObject();
+}
+
 std::string ExplanationToJson(const GlobalExplanation& explanation,
                               const Schema& schema) {
-  JsonValue root = JsonValue::Object();
-
-  JsonValue combination = JsonValue::Array();
-  for (AttrIndex attr : explanation.combination) {
-    DPX_CHECK_LT(attr, schema.num_attributes());
-    combination.Append(JsonValue::String(schema.attribute(attr).name()));
-  }
-  root.Set("combination", std::move(combination));
-
-  JsonValue candidate_sets = JsonValue::Array();
-  for (const auto& set : explanation.candidate_sets) {
-    JsonValue entry = JsonValue::Array();
-    for (AttrIndex attr : set) {
-      DPX_CHECK_LT(attr, schema.num_attributes());
-      entry.Append(JsonValue::String(schema.attribute(attr).name()));
-    }
-    candidate_sets.Append(std::move(entry));
-  }
-  root.Set("candidate_sets", std::move(candidate_sets));
-
-  JsonValue clusters = JsonValue::Array();
-  for (const SingleClusterExplanation& e : explanation.per_cluster) {
-    JsonValue entry = JsonValue::Object();
-    entry.Set("cluster", JsonValue::Number(static_cast<double>(e.cluster)));
-    entry.Set("attribute",
-              JsonValue::String(schema.attribute(e.attribute).name()));
-    entry.Set("inside", HistogramToJson(e.inside));
-    entry.Set("outside", HistogramToJson(e.outside));
-    if (e.epsilon_inside > 0.0) {
-      entry.Set("epsilon_inside", JsonValue::Number(e.epsilon_inside));
-      entry.Set("epsilon_full", JsonValue::Number(e.epsilon_full));
-      entry.Set("noise", JsonValue::String(NoiseName(e.noise)));
-    }
-    clusters.Append(std::move(entry));
-  }
-  root.Set("clusters", std::move(clusters));
-  return root.Dump();
+  std::string out;
+  JsonWriter writer(&out);
+  WriteExplanationJson(explanation, schema, writer);
+  return out;
 }
 
 StatusOr<GlobalExplanation> ExplanationFromJson(const std::string& json,

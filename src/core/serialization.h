@@ -35,6 +35,11 @@ StatusOr<Schema> SchemaFromJson(const std::string& json);
 std::string ExplanationToJson(const GlobalExplanation& explanation,
                               const Schema& schema);
 
+/// Same document as ExplanationToJson, written into `writer`'s stream — the
+/// service writes a release body once, straight into its final bytes.
+void WriteExplanationJson(const GlobalExplanation& explanation,
+                          const Schema& schema, JsonWriter& writer);
+
 /// Parses an explanation produced by ExplanationToJson, resolving attribute
 /// names against `schema`. Returns InvalidArgument on shape mismatches and
 /// NotFound for unknown attribute names.

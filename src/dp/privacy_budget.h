@@ -63,6 +63,15 @@ class PrivacyBudget {
   /// Snapshot of the charges so far.
   std::vector<LedgerEntry> ledger() const;
 
+  /// Calls `fn(entry)` for each charge so far, in order, under the lock —
+  /// for serializing a long ledger without copying it first. `fn` must not
+  /// call back into this accountant.
+  template <typename Fn>
+  void ForEachLedgerEntry(Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const LedgerEntry& entry : ledger_) fn(entry);
+  }
+
   /// Multi-line, human-readable spend report.
   std::string Report() const;
 

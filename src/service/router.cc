@@ -340,7 +340,7 @@ class Router::Impl {
     // stdin stays the lifecycle handle even in socket mode: EOF there is
     // the shutdown signal (run under a supervisor, hold the pipe open).
     stdio_ = transport_.Adopt(
-        STDIN_FILENO, STDOUT_FILENO,
+        STDIN_FILENO, STDOUT_FILENO, Transport::Peer::kClient,
         [this](ConnId conn, std::string&& line) {
           HandleClientLine(conn, line);
         },
@@ -533,7 +533,7 @@ class Router::Impl {
     w.spawned_at_ms = NowSteadyMs();
     const uint64_t life = ++w.life;
     w.conn = transport_.Adopt(
-        from_child[0], to_child[1],
+        from_child[0], to_child[1], Transport::Peer::kServer,
         [this, &w](ConnId, std::string&& line) { HandleWorkerLine(w, line); },
         [this, &w, life] {
           if (w.life == life) WorkerDied(w);
@@ -780,7 +780,7 @@ class Router::Impl {
       out = FullParseRelay(*parsed, *done);
       relay_full_parse_counter_->Increment();
     }
-    transport_.Send(done->client, out);
+    transport_.Send(done->client, std::move(out));
     MaybeSlowLog(*done, replied);
   }
 

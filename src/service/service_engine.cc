@@ -106,15 +106,29 @@ std::string ClusteringFingerprint(const std::string& method, size_t k,
   return buf;
 }
 
-JsonValue HistogramToJson(const Histogram& histogram, const Attribute& attr) {
-  JsonValue bins = JsonValue::Array();
+void WriteHistogramBins(const Histogram& histogram, const Attribute& attr,
+                        JsonWriter& writer) {
+  writer.BeginArray();
   for (ValueCode code = 0; code < histogram.domain_size(); ++code) {
-    JsonValue bin = JsonValue::Object();
-    bin.Set("value", JsonValue::String(attr.label(code)));
-    bin.Set("count", JsonValue::Number(histogram.bin(code)));
-    bins.Append(std::move(bin));
+    writer.BeginObject();
+    writer.Key("count");
+    writer.Number(histogram.bin(code));
+    writer.Key("value");
+    writer.String(attr.label(code));
+    writer.EndObject();
   }
-  return bins;
+  writer.EndArray();
+}
+
+/// A cached release body as an object of pre-serialized members, ready for
+/// the envelope merge — split from its bytes, never parsed into a tree.
+StatusOr<JsonValue> CachedBody(const std::string& payload) {
+  StatusOr<JsonValue> body = JsonValue::SplitDumpedObject(payload);
+  if (!body.ok()) {
+    return Status::Internal("corrupt cache payload: " +
+                            body.status().message());
+  }
+  return body;
 }
 
 }  // namespace
@@ -366,6 +380,10 @@ std::string ServiceEngine::HandleAt(const std::string& request_json,
     {
       obs::ScopedTraceActivation activate(&trace);
       response = Dispatch(*parsed, start);
+      // The envelope's serialization, timed inside the trace; the final
+      // Dump below only concatenates these bytes with the trace's own.
+      DPX_SPAN("serialize");
+      response.SerializeMembers();
     }
     trace.Finish();
     JsonValue trace_json = trace.ToJson();
@@ -379,6 +397,7 @@ std::string ServiceEngine::HandleAt(const std::string& request_json,
     response = Dispatch(*parsed, start);
   }
   if (parsed->Has("id")) response.Set("id", parsed->at("id"));
+  DPX_SPAN("serialize");
   return response.Dump();
 }
 
@@ -832,20 +851,28 @@ StatusOr<JsonValue> ServiceEngine::OpBudget(const JsonValue& request) {
   DPX_ASSIGN_OR_RETURN(const std::shared_ptr<ServiceSession> session,
                        sessions_.Get(session_id));
   const PrivacyBudget& budget = session->budget();
-  JsonValue ledger = JsonValue::Array();
-  for (const PrivacyBudget::LedgerEntry& entry : budget.ledger()) {
-    JsonValue row = JsonValue::Object();
-    row.Set("label", JsonValue::String(entry.label));
-    row.Set("epsilon", JsonValue::Number(entry.epsilon));
-    ledger.Append(std::move(row));
-  }
   JsonValue body = JsonValue::Object();
+  {
+    // The ledger grows with every charge: written once, straight to bytes.
+    DPX_SPAN("serialize");
+    body.Set("ledger", SerializeWith([&](JsonWriter& writer) {
+      writer.BeginArray();
+      budget.ForEachLedgerEntry([&](const PrivacyBudget::LedgerEntry& entry) {
+        writer.BeginObject();
+        writer.Key("epsilon");
+        writer.Number(entry.epsilon);
+        writer.Key("label");
+        writer.String(entry.label);
+        writer.EndObject();
+      });
+      writer.EndArray();
+    }));
+  }
   body.Set("session", JsonValue::String(session_id));
   body.Set("dataset", JsonValue::String(session->dataset()->name()));
   body.Set("total", JsonValue::Number(budget.total_epsilon()));
   body.Set("spent", JsonValue::Number(budget.spent_epsilon()));
   body.Set("remaining", JsonValue::Number(budget.remaining_epsilon()));
-  body.Set("ledger", std::move(ledger));
   if (const PrivacyBudget* cap = session->dataset()->cap()) {
     body.Set("dataset_cap_total", JsonValue::Number(cap->total_epsilon()));
     body.Set("dataset_cap_remaining",
@@ -966,22 +993,22 @@ StatusOr<JsonValue> ServiceEngine::OpExplain(const JsonValue& request,
       const std::shared_ptr<const Dataset> dataset =
           session->dataset()->dataset();
       const Schema& schema = dataset->schema();
-      DPX_ASSIGN_OR_RETURN(
-          JsonValue explanation_json,
-          JsonValue::Parse(ExplanationToJson(explanation, schema)));
+      // The release is written once, as bytes: its members go into the
+      // response as pre-serialized values and into the cache as one text.
+      DPX_SPAN("serialize");
       body = JsonValue::Object();
-      body.Set("explanation", std::move(explanation_json));
-      body.Set("text",
-               JsonValue::String(RenderGlobalExplanation(explanation,
-                                                         schema)));
+      body.Set("explanation", SerializeWith([&](JsonWriter& writer) {
+                 WriteExplanationJson(explanation, schema, writer);
+               }));
+      body.Set("text", SerializeWith([&](JsonWriter& writer) {
+                 writer.String(RenderGlobalExplanation(explanation, schema));
+               }));
       cache_.Put(key, body.Dump());
     }
   }
   if (cached != nullptr) {
     // Post-processing an already-paid-for release: identical bytes, zero ε.
-    StatusOr<JsonValue> parsed = JsonValue::Parse(*cached);
-    DPX_CHECK(parsed.ok()) << "corrupt cache payload";
-    body = std::move(*parsed);
+    DPX_ASSIGN_OR_RETURN(body, CachedBody(*cached));
     cache_hit = true;
   }
   body.Set("cache_hit", JsonValue::Bool(cache_hit));
@@ -1061,30 +1088,40 @@ StatusOr<JsonValue> ServiceEngine::OpHist(const JsonValue& request) {
           epsilon, "hist attr=" + attr_name + " [parallel x" +
                        std::to_string(view->num_clusters) + "]"));
       Rng rng(pinned_seed ? seed : NextNoiseSeed());
-      JsonValue clusters = JsonValue::Array();
+      std::vector<Histogram> noisy;
+      noisy.reserve(view->num_clusters);
       for (size_t c = 0; c < view->num_clusters; ++c) {
         DPX_ASSIGN_OR_RETURN(
-            const Histogram noisy,
+            Histogram release,
             ReleaseDpHistogram(
                 view->stats->cluster_histogram(static_cast<ClusterId>(c),
                                                attr),
                 epsilon, rng, DpHistogramOptions{}));
-        JsonValue entry = JsonValue::Object();
-        entry.Set("cluster", JsonValue::Number(static_cast<double>(c)));
-        entry.Set("bins", HistogramToJson(noisy, schema.attribute(attr)));
-        clusters.Append(std::move(entry));
+        noisy.push_back(std::move(release));
       }
+      // Written once, as bytes (see OpExplain).
+      DPX_SPAN("serialize");
       body = JsonValue::Object();
       body.Set("attribute", JsonValue::String(attr_name));
-      body.Set("clusters", std::move(clusters));
+      body.Set("clusters", SerializeWith([&](JsonWriter& writer) {
+                 writer.BeginArray();
+                 for (size_t c = 0; c < noisy.size(); ++c) {
+                   writer.BeginObject();
+                   writer.Key("bins");
+                   WriteHistogramBins(noisy[c], schema.attribute(attr),
+                                      writer);
+                   writer.Key("cluster");
+                   writer.Number(static_cast<double>(c));
+                   writer.EndObject();
+                 }
+                 writer.EndArray();
+               }));
       cache_.Put(key, body.Dump());
     }
   }
   if (cached != nullptr) {
     // Post-processing an already-paid-for release: identical bytes, zero ε.
-    StatusOr<JsonValue> parsed = JsonValue::Parse(*cached);
-    DPX_CHECK(parsed.ok()) << "corrupt cache payload";
-    body = std::move(*parsed);
+    DPX_ASSIGN_OR_RETURN(body, CachedBody(*cached));
     cache_hit = true;
   }
   body.Set("cache_hit", JsonValue::Bool(cache_hit));

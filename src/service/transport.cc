@@ -194,6 +194,8 @@ struct Transport::Conn {
   // event and written only in poll-gated PIPE_BUF pieces; an unpolled fd
   // (epoll refused it) is always ready.
   bool adopted = false;
+  bool adopted_client = false;   // Peer::kClient: reads pause on backlog
+  bool frames_pending = false;   // `in` holds whole frames a pause held back
   FrameHandler on_frame;
   std::function<void()> on_eof;
   bool read_eof = false;
@@ -302,14 +304,15 @@ void Transport::SetHttpHandler(HttpHandler handler) {
   http_handler_ = std::move(handler);
 }
 
-ConnId Transport::Adopt(int read_fd, int write_fd, FrameHandler on_frame,
-                        std::function<void()> on_eof) {
+ConnId Transport::Adopt(int read_fd, int write_fd, Peer peer,
+                        FrameHandler on_frame, std::function<void()> on_eof) {
   DPX_CHECK(read_fd != write_fd) << "Adopt needs two distinct fds";
   auto owned = std::make_unique<Conn>();
   Conn& conn = *owned;
   conn.fd = read_fd;
   conn.write_fd = write_fd;
   conn.adopted = true;
+  conn.adopted_client = peer == Peer::kClient;
   conn.on_frame = std::move(on_frame);
   conn.on_eof = std::move(on_eof);
   conn.read_blocking = (::fcntl(read_fd, F_GETFL) & O_NONBLOCK) == 0;
@@ -360,7 +363,7 @@ void Transport::Stop() {
   if (current_loop != this) Wake();  // the loop re-checks state_
 }
 
-bool Transport::Send(ConnId id, const std::string& line) {
+bool Transport::Send(ConnId id, std::string line) {
   bool wake = false;
   {
     std::lock_guard<std::mutex> lock(conns_mutex_);
@@ -371,7 +374,8 @@ bool Transport::Send(ConnId id, const std::string& line) {
     }
     Conn& conn = *it->second;
     wake = !conn.dirty && current_loop != this;
-    Enqueue(conn, line + "\n");
+    line += '\n';
+    Enqueue(conn, std::move(line));
   }
   if (wake) Wake();
   return true;
@@ -398,9 +402,13 @@ size_t Transport::ActiveConnections() const {
 }
 
 int Transport::NextTimeoutMs() const {
+  if (!replay_.empty()) return 0;
   for (ConnId id : unpolled_readers_) {
     auto it = conns_.find(id);  // loop thread: the map only changes here
-    if (it != conns_.end() && !it->second->read_eof) return 0;
+    if (it != conns_.end() && !it->second->read_eof &&
+        !it->second->reading_suspended) {
+      return 0;
+    }
   }
   if (timers_.empty()) return -1;
   const auto wait = timers_.front().due - std::chrono::steady_clock::now();
@@ -499,6 +507,14 @@ void Transport::EventLoop() {
         HandleReadable(*conn);
       }
     }
+    // Resumed clients first: their held-back frames precede anything
+    // still unread.
+    std::vector<ConnId> replay;
+    replay.swap(replay_);
+    for (ConnId id : replay) {
+      Conn* conn = Find(id);
+      if (conn != nullptr && running()) ReplayFrames(*conn);
+    }
     for (size_t i = 0; i < unpolled_readers_.size() && running();) {
       Conn* conn = Find(unpolled_readers_[i]);
       if (conn == nullptr || conn->read_eof) {
@@ -552,6 +568,10 @@ void Transport::Accept(Listener& listener) {
 }
 
 void Transport::HandleReadable(Conn& conn) {
+  // A paused client reads nothing, and frames a pause held back go before
+  // any new bytes (a pipe's hangup is reported even while paused).
+  if (conn.reading_suspended) return;
+  if (conn.frames_pending && !ReplayFrames(conn)) return;
   char buf[64 << 10];
   while (true) {
     const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
@@ -599,6 +619,13 @@ bool Transport::DeliverFrames(Conn& conn, const char* data, size_t size) {
       if (frame.empty()) continue;
       conn.on_frame(conn.id, std::move(frame));
       if (conn.closed) return false;
+      if (conn.adopted_client && PauseOnBacklog(conn)) {
+        // Hold back the rest of this read, whole frames included, until
+        // the response queue drains (FlushSome schedules the replay).
+        conn.in.assign(data + start, size - start);
+        conn.frames_pending = conn.in.find('\n') != std::string::npos;
+        return false;
+      }
       continue;
     }
     if (frame.size() > options_.max_frame_bytes) {
@@ -632,15 +659,29 @@ bool Transport::DeliverFrames(Conn& conn, const char* data, size_t size) {
   }
   // Backpressure: a reader slower than its own request stream gets its
   // reads paused until the response queue drains (see FlushSome).
+  return !PauseOnBacklog(conn);
+}
+
+bool Transport::PauseOnBacklog(Conn& conn) {
   std::lock_guard<std::mutex> lock(conns_mutex_);
-  if (conn.out_bytes > options_.write_soft_limit_bytes &&
-      !conn.reading_suspended) {
-    conn.reading_suspended = true;
-    reads_suspended_total_->Increment();
-    UpdateInterest(conn);
+  if (conn.out_bytes <= options_.write_soft_limit_bytes ||
+      conn.reading_suspended) {
     return false;
   }
+  conn.reading_suspended = true;
+  reads_suspended_total_->Increment();
+  UpdateInterest(conn);
   return true;
+}
+
+bool Transport::ReplayFrames(Conn& conn) {
+  if (!conn.frames_pending || conn.reading_suspended || conn.closed) {
+    return !conn.reading_suspended && !conn.closed;
+  }
+  conn.frames_pending = false;
+  std::string held = std::move(conn.in);
+  conn.in.clear();
+  return DeliverFrames(conn, held.data(), held.size());
 }
 
 void Transport::RejectOversized(Conn& conn) {
@@ -732,6 +773,7 @@ void Transport::FlushSome(Conn& conn) {
         if (conn.reading_suspended && !conn.close_after_flush &&
             conn.out_bytes < options_.write_soft_limit_bytes / 2) {
           conn.reading_suspended = false;
+          if (conn.frames_pending) replay_.push_back(conn.id);
         }
         UpdateInterest(conn);
       }
@@ -761,8 +803,17 @@ void Transport::UpdateInterest(Conn& conn) {
     return;
   }
   if (conn.read_polled && read != conn.read_interest) {
+    // A paused pipe leaves epoll altogether: its hangup would be reported
+    // whatever the interest set, and spin the loop until the pause ends.
+    epoll_event ev{};
+    ev.events = read;
+    ev.data.u64 = conn.id;
+    if (::epoll_ctl(epoll_fd_, read != 0 ? EPOLL_CTL_ADD : EPOLL_CTL_DEL,
+                    conn.fd, &ev) < 0) {
+      std::fprintf(stderr, "[transport] epoll_ctl(adopted read): %s\n",
+                   ::strerror(errno));
+    }
     conn.read_interest = read;
-    modify(conn.fd, conn.id, read);
   }
   if (conn.write_polled && conn.write_fd >= 0 &&
       write != conn.write_interest) {

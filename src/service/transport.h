@@ -49,8 +49,13 @@
 //
 // Adopted fds: Adopt() serves an already-open fd pair — a pipe pair to a
 // child process, or the process's own stdin/stdout — as a connection with
-// the same non-blocking write queue, but no frame cap, no HTTP detection,
-// no read suspension and none of the client counters. Read EOF calls the
+// the same non-blocking write queue, but no frame cap, no HTTP detection
+// and none of the client counters. A pair adopted as a client (stdin
+// carrying requests) pauses reading frame by frame while more than
+// write_soft_limit_bytes of its responses are queued — the rest of a read
+// waits, buffered, until the queue drains below half — so one large read
+// never queues a whole batch of responses at once; a pair adopted as a
+// server (a worker's pipes) is never paused. Read EOF calls the
 // owner's handler instead of closing, so responses can still go out. The
 // transport never changes an fd's O_NONBLOCK flag: a blocking fd (the
 // inherited fd 0 and 1) is read once per readiness event and written in
@@ -164,12 +169,18 @@ class Transport {
   /// are unaffected: their first frame starts with '{', never "GET ".
   void SetHttpHandler(HttpHandler handler);
 
+  /// Who is at the other end of an adopted pair. A client's frames are
+  /// requests answered on the same pair, so its reads pause on its own
+  /// response backlog. A server's frames answer requests written to it:
+  /// pausing them on that request backlog would deadlock both processes.
+  enum class Peer { kClient, kServer };
+
   /// Serves the distinct fds `read_fd` (frames to `on_frame`) and
   /// `write_fd` (Send) as one connection; the transport owns and closes
   /// both. `on_eof` runs once when `read_fd` reaches EOF or fails; the
   /// connection stays writable until Close(). Loop thread, or before the
   /// loop runs.
-  ConnId Adopt(int read_fd, int write_fd, FrameHandler on_frame,
+  ConnId Adopt(int read_fd, int write_fd, Peer peer, FrameHandler on_frame,
                std::function<void()> on_eof);
 
   /// Loop thread: closes an adopted connection's write fd (its peer reads
@@ -193,10 +204,11 @@ class Transport {
   /// responses not yet flushed are dropped (and counted).
   void Stop();
 
-  /// Thread-safe. Queues `line` (+'\n') for `conn`. False when the
+  /// Thread-safe. Queues `line` (+'\n') for `conn`; pass an rvalue to
+  /// queue a large response without copying it. False when the
   /// connection (or its write side) is gone — the caller's response is
   /// dropped and counted; nothing else to do.
-  bool Send(ConnId conn, const std::string& line);
+  bool Send(ConnId conn, std::string line);
 
   /// Thread-safe: bytes currently queued toward `conn` (0 when gone).
   /// Front doors compare this against write_hard_limit_bytes to shed.
@@ -228,6 +240,11 @@ class Transport {
   void Accept(Listener& listener);
   void HandleReadable(Conn& conn);
   bool DeliverFrames(Conn& conn, const char* data, size_t size);
+  /// Pauses `conn`'s reads when its queued responses exceed the soft limit;
+  /// true when it did.
+  bool PauseOnBacklog(Conn& conn);
+  /// Delivers the frames a pause held back; false when reading must stop.
+  bool ReplayFrames(Conn& conn);
   void RejectOversized(Conn& conn);
   void QueueHttpResponse(Conn& conn);  // headers consumed; answer + close
   void Enqueue(Conn& conn, std::string payload);  // holds conns_mutex_
@@ -256,6 +273,7 @@ class Transport {
   // Event-loop-thread state.
   std::vector<std::unique_ptr<Conn>> closed_;  // freed after each iteration
   std::vector<ConnId> unpolled_readers_;       // read fds epoll refused
+  std::vector<ConnId> replay_;  // resumed clients with buffered frames
   std::vector<Timer> timers_;  // min-heap on (due, seq): std::greater<>
   uint64_t timer_seq_ = 0;
 

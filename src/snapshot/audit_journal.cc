@@ -31,7 +31,8 @@ bool AuditJournal::is_open() const {
 }
 
 Status AuditJournal::Append(const AuditRecordState& record) {
-  const std::string line = AuditRecordToJsonLine(record) + "\n";
+  std::string line = AuditRecordToJsonLine(record);
+  line += '\n';
   std::lock_guard<std::mutex> lock(mutex_);
   if (file_ == nullptr) {
     return Status::FailedPrecondition("audit journal is not open");
@@ -53,15 +54,25 @@ void AuditJournal::Close() {
 }
 
 std::string AuditRecordToJsonLine(const AuditRecordState& record) {
-  JsonValue obj = JsonValue::Object();
-  obj.Set("seq", JsonValue::Number(static_cast<double>(record.seq)));
-  obj.Set("tenant", JsonValue::String(record.tenant));
-  obj.Set("dataset", JsonValue::String(record.dataset));
-  obj.Set("label", JsonValue::String(record.label));
-  obj.Set("epsilon", JsonValue::Number(record.epsilon));
-  obj.Set("granted", JsonValue::Bool(record.granted));
-  obj.Set("reason", JsonValue::String(record.reason));
-  return obj.Dump();
+  std::string line;
+  JsonWriter writer(&line);
+  writer.BeginObject();
+  writer.Key("dataset");
+  writer.String(record.dataset);
+  writer.Key("epsilon");
+  writer.Number(record.epsilon);
+  writer.Key("granted");
+  writer.Bool(record.granted);
+  writer.Key("label");
+  writer.String(record.label);
+  writer.Key("reason");
+  writer.String(record.reason);
+  writer.Key("seq");
+  writer.Number(static_cast<double>(record.seq));
+  writer.Key("tenant");
+  writer.String(record.tenant);
+  writer.EndObject();
+  return line;
 }
 
 namespace {

@@ -14,6 +14,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <map>
@@ -134,6 +135,25 @@ class ServeProcess {
 
   bool started() const { return pid_ > 0; }
   pid_t pid() const { return pid_; }
+
+  /// Every response that carried a string id, by id.
+  const std::map<std::string, JsonValue>& received() const {
+    return received_;
+  }
+
+  /// Writes `payload` to stdin in full (blocking while the child's pipe is
+  /// full), then closes stdin — a batch piped in the way `cat file |` does.
+  void FeedAndClose(const std::string& payload) {
+    size_t written = 0;
+    while (written < payload.size()) {
+      const ssize_t n = ::write(stdin_fd_, payload.data() + written,
+                                payload.size() - written);
+      if (n <= 0) break;
+      written += static_cast<size_t>(n);
+    }
+    EXPECT_EQ(written, payload.size());
+    CloseStdin();
+  }
 
   void Send(const std::string& line) {
     const std::string payload = line + "\n";
@@ -359,6 +379,50 @@ TEST(ServeProcessTest, ClientHangupsMidResponseNeverKillTheShard) {
   ASSERT_TRUE(WIFEXITED(status))
       << "killed by signal " << (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
   EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST(ServeProcessTest, SyncStdinBatchIsPacedNotShed) {
+  // Stdin is read in 64 KiB gulps. Queuing every response of a gulp before
+  // any is flushed would take a few hundred ~35 KB budget responses past
+  // the 4 MiB hard write limit and shed the rest with ResourceExhausted;
+  // stdin reads pause frame by frame at the soft limit instead, so the
+  // whole batch is answered.
+  ServeProcess serve({"--sync"});
+  if (!serve.started()) GTEST_SKIP() << "dpclustx_serve not built";
+  constexpr int kCharges = 600;
+  constexpr int kBudgets = 250;
+  std::string batch = std::string(kLoad) + "\n" + kCluster + "\n" +
+                      CreateSession("s", "create") + "\n";
+  for (int i = 0; i < kCharges; ++i) {
+    // Distinct ε per request: every hist is a fresh, charged release, so
+    // the session's ledger grows by one row each.
+    batch += Hist("s", 0.001 + 1e-6 * i, "h" + std::to_string(i)) + "\n";
+  }
+  for (int i = 0; i < kBudgets; ++i) {
+    batch += Budget("s", "b" + std::to_string(i)) + "\n";
+  }
+  std::thread feeder([&] { serve.FeedAndClose(batch); });
+  serve.ReadToEof();
+  feeder.join();
+  const int status = serve.Wait();
+  EXPECT_TRUE(WIFEXITED(status));
+
+  size_t shed = 0;
+  size_t answered = 0;
+  size_t largest = 0;
+  for (const auto& [id, response] : serve.received()) {
+    ++answered;
+    if (!IsOk(response)) {
+      ++shed;
+      continue;
+    }
+    if (id[0] == 'b') {
+      largest = std::max(largest, response.at("ledger").size());
+    }
+  }
+  EXPECT_EQ(shed, 0u);
+  EXPECT_EQ(answered, 3u + kCharges + kBudgets);
+  EXPECT_EQ(largest, static_cast<size_t>(kCharges));
 }
 
 }  // namespace

@@ -301,7 +301,7 @@ int main(int argc, char** argv) {
     }
     const Status submitted = engine.HandleAsync(
         request, [&transport, conn](std::string response) {
-          transport.Send(conn, response);
+          transport.Send(conn, std::move(response));
         });
     if (!submitted.ok()) reject(submitted);
   };
@@ -335,7 +335,8 @@ int main(int argc, char** argv) {
   // EOF on stdin: draining the pool blocks the loop, which is fine — the
   // process is exiting. The final snapshot must be on disk before Stop
   // closes stdout.
-  stdio = transport.Adopt(STDIN_FILENO, STDOUT_FILENO, on_frame, [&] {
+  stdio = transport.Adopt(STDIN_FILENO, STDOUT_FILENO,
+                         Transport::Peer::kClient, on_frame, [&] {
     stdin_closed = true;
     engine.Shutdown();
     if (!snapshot_path.empty() && !options.read_only) {
